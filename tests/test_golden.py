@@ -1,0 +1,76 @@
+"""Byte identity of atlas JSON and SVG against pinned digests.
+
+The digests were taken before the exact kernel was rewritten over
+integers.  A change to the kernel, the atlas builders or the renderer that
+alters a single byte of the canonical JSON (chamber order, gluing order,
+coordinate text, singularity ids) or of the SVG fails here, even when the
+atlas still round-trips and passes `check_atlas`.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from isoleaf.leaf_atlas import (
+    atlas_from_json_dict,
+    atlas_to_json_dict,
+    build_arithmetic,
+    build_negative,
+    build_nonarith,
+    build_positive,
+)
+from isoleaf.period_algebra import GroundField
+from isoleaf.render import render_atlas
+
+GOLDEN = {
+    "arithmetic-12": (
+        lambda: build_arithmetic(12),
+        "a4256833ae08d133e28a3459205c98c5e6c96f51f306386900346ab1c52a226f",
+        "6b764c89edc13c282ae13047725f8a73df8068c1be195d29f30f46e2585d1546",
+    ),
+    "negative-6": (
+        lambda: build_negative(6),
+        "781ba5581cb1a6a690ce1b4a27b6ac8617661b28b205d010fb8f78d1895cdd0b",
+        "38aa01d307aa4ad3e7d4324d4ea225c7ea66d4333fb80df1056375342342f5ec",
+    ),
+    "positive-6": (
+        lambda: build_positive(6),
+        "44d13f375d0ed4e65b805b88cfdcc7b55070328c93d900f85f6c9a02247d9a08",
+        "932d2b990709ca770abfcb64d2f3d5675677a361a497a71c97baa9c26b6cc8da",
+    ),
+    "nonarith-sqrt2-6": (
+        lambda: build_nonarith(GroundField.quadratic(2).element(0, 1), 6),
+        "fd73a7801f6d723c397444131ac92418e6a257b21c9044bc0dde5c16c556ff28",
+        "15aaa4c6fc6210febc95bef00cb7f1f45457427e2bc44c9eec66a70999b2e1e0",
+    ),
+    "nonarith-golden-6": (
+        lambda: build_nonarith(
+            GroundField.quadratic(5).element(Fraction(1, 2), Fraction(1, 2)), 6
+        ),
+        "c7a606178ec7646a8fcee5e1c340a141a0f4b4293ec6dbfaafa1764a3aeb5a28",
+        "7d22d1c9faccacdcec5f0b3d091e165c753f9a0926d5916fd00b2d44fc1d06b5",
+    ),
+}
+
+
+def _canonical(atlas) -> str:
+    # the text `isoleaf atlas build` writes
+    return json.dumps(atlas_to_json_dict(atlas), sort_keys=True, indent=2) + "\n"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_atlas_json_and_svg_are_byte_identical(name):
+    build, json_digest, svg_digest = GOLDEN[name]
+    atlas = build()
+    text = _canonical(atlas)
+    assert _sha(text) == json_digest
+    assert _sha(render_atlas(atlas)) == svg_digest
+    # loading the canonical text and dumping again gives the same bytes
+    again = atlas_from_json_dict(json.loads(text))
+    assert _canonical(again) == text
