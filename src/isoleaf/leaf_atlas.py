@@ -197,7 +197,7 @@ class BoundarySegment:
 def _coord_key(x, inf_sign):
     if x is None:
         return (inf_sign, 0, 1, 0, 1)
-    return (0, x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator)
+    return (0,) + x.fraction_parts()
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,8 @@ class Atlas:
 
 
 def _fe_key(x: FieldElement):
-    return (x.a, x.b)
+    """Index key of a coordinate: its normal-form integers."""
+    return (x.p, x.q, x.d)
 
 
 @dataclass
@@ -678,7 +679,7 @@ def build_arithmetic(kmax: int) -> Atlas:
         bound=kmax,
         chambers=chambers,
         gluings=gluings,
-        truncated=_arith_truncation_rays(gluings, Q),
+        truncated=_arith_truncation_rays(gluings),
         singularities=[],
         complete={c: False for c in chambers},
     )
@@ -686,19 +687,19 @@ def build_arithmetic(kmax: int) -> Atlas:
     return atlas
 
 
-def _arith_truncation_rays(gluings, Q):
+def _arith_truncation_rays(gluings):
     spans = {}
     for g in gluings:
         seg = g.seg_a
-        lo, hi = seg.lo.a, seg.hi.a
+        lo, hi = seg.lo, seg.hi
         cur = spans.get(seg.chamber)
         spans[seg.chamber] = (
             (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
         )
     rays = []
     for chamber, (lo, hi) in sorted(spans.items(), key=lambda kv: _chamber_key(kv[0])):
-        rays.append(BoundarySegment(chamber, ("line",), None, Q.element(lo)))
-        rays.append(BoundarySegment(chamber, ("line",), Q.element(hi), None))
+        rays.append(BoundarySegment(chamber, ("line",), None, lo))
+        rays.append(BoundarySegment(chamber, ("line",), hi, None))
     return rays
 
 
@@ -871,7 +872,8 @@ def _other_germ(atlas: Atlas, germ):
         sector = Sector(chamber, ("tip", (gamma.m, gamma.n)), half_turns=2)
         return (chamber, ("slit", gamma, other_side), v, +1), sector
     if isinstance(chamber, (CylChamber, CylArithChamber)):
-        sector = Sector(chamber, ("t", _fe_key(v)), half_turns=1)
+        # the vertex reaches singularity ids: keep it as the pair (a, b)
+        sector = Sector(chamber, ("t", (v.a, v.b)), half_turns=1)
         return (chamber, part, v, -direction), sector
     if isinstance(chamber, DegChamber):
         T = chamber.triple
@@ -1138,8 +1140,8 @@ def wall_surface_match(atlas: Atlas, gluing: Gluing, t) -> bool:
         raise NotInterior(f"{t} is not interior to {seg}")
     a, b = seg.chamber, gluing.seg_b.chamber
     t2 = gluing.map_coord(t)
-    sa = cylinder_boundary_surface(a.k, a.l, a.sign, t.a)
-    sb = cylinder_boundary_surface(b.k, b.l, b.sign, t2.a)
+    sa = cylinder_boundary_surface(a.k, a.l, a.sign, t)
+    sb = cylinder_boundary_surface(b.k, b.l, b.sign, t2)
     if not isinstance(sa, SlitDegenerateSurface) or not isinstance(sb, SlitDegenerateSurface):
         return False
     return sa == sb
@@ -1320,9 +1322,9 @@ def _check_wall_match(atlas: Atlas, samples: int):
     for g in atlas.gluings:
         if g.seg_a.chamber.sign != +1:
             continue
-        lo, hi = g.seg_a.lo.a, g.seg_a.hi.a
+        lo, hi = g.seg_a.lo, g.seg_a.hi
         for j in range(1, samples + 1):
-            t = lo + (hi - lo) * Fraction(j, samples + 1)
+            t = (lo * (samples + 1 - j) + hi * j) / (samples + 1)
             if not wall_surface_match(atlas, g, t):
                 bad.append(
                     {"gluing": _seg_desc(g.seg_a), "sample": str(t)}

@@ -111,9 +111,17 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
+_FIELDS: dict = {}  # the shared GroundField instance of each (tag, D)
+
+
 @dataclass(frozen=True)
 class GroundField:
     """A computable ground field: Q, Q(i), or a real quadratic field.
+
+    The constructors `rational`, `gaussian` and `quadratic` return one
+    shared instance per field, so the field check of element arithmetic is
+    usually an identity test.  Equality stays by value, for fields built
+    directly with ``GroundField(...)``.
 
     Attributes
     ----------
@@ -134,20 +142,30 @@ class GroundField:
                 raise ValueError("quadratic fields need a square-free D >= 2")
         elif self.D is not None:
             raise ValueError(f"field {self.tag!r} takes no radicand")
+        # the square of the adjoined symbol as a plain integer (0 for Q), as
+        # element arithmetic reads it
+        object.__setattr__(self, "_w2", {"rational": 0, "gaussian": -1}.get(self.tag, self.D))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational() -> "GroundField":
-        return GroundField("rational")
+        return GroundField._interned("rational", None)
 
     @staticmethod
     def gaussian() -> "GroundField":
-        return GroundField("gaussian")
+        return GroundField._interned("gaussian", None)
 
     @staticmethod
     def quadratic(D: int) -> "GroundField":
-        return GroundField("quadratic", D)
+        return GroundField._interned("quadratic", D)
+
+    @staticmethod
+    def _interned(tag: str, D) -> "GroundField":
+        F = _FIELDS.get((tag, D))
+        if F is None:
+            F = _FIELDS.setdefault((tag, D), GroundField(tag, D))
+        return F
 
     # -- structure ---------------------------------------------------------
 
@@ -165,10 +183,6 @@ class GroundField:
 
     def element(self, a, b=0) -> "FieldElement":
         """Build the element ``a + b*symbol`` of this field."""
-        a = Fraction(a)
-        b = Fraction(b)
-        if self.tag == "rational" and b != 0:
-            raise ValueError("the rational field has no adjoined symbol")
         return FieldElement(self, a, b)
 
     def zero(self) -> "FieldElement":
@@ -184,104 +198,217 @@ class GroundField:
         return self.element(0, 1)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
 class FieldElement:
     """An exact number ``a + b*w`` where ``w in {i, sqrt(D)}`` (or ``b = 0``).
+
+    Stored as integers ``(p, q, d)`` for ``(p + q*w)/d``, with ``d > 0`` and
+    ``gcd(p, q, d) = 1``.  That form is unique, so equality and hashing
+    compare integers; the rational coordinates ``a = p/d`` and ``b = q/d``
+    are derived on request.  Instances are immutable.
 
     Supports ring operations, exact division, complex and Galois
     conjugation, and -- in the real fields -- exact sign and total order.
     Integers and :class:`~fractions.Fraction` values coerce automatically.
     """
 
-    field: GroundField
-    a: Fraction
-    b: Fraction
+    __slots__ = ("_field", "_p", "_q", "_d")
+
+    def __init__(self, field: GroundField, a, b=0) -> None:
+        if type(a) is int and type(b) is int:
+            p, q, d = a, b, 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            da, db = a.denominator, b.denominator
+            d = da // gcd(da, db) * db  # the lcm, so gcd(p, q, d) = 1
+            p, q = a.numerator * (d // da), b.numerator * (d // db)
+        if q and not field._w2:
+            raise ValueError("the rational field has no adjoined symbol")
+        self._field, self._p, self._q, self._d = field, p, q, d
+
+    @staticmethod
+    def _make(field: GroundField, p: int, q: int, d: int) -> "FieldElement":
+        """The element ``(p + q*w)/d`` from integers already in normal form."""
+        x = _new(FieldElement)
+        x._field, x._p, x._q, x._d = field, p, q, d
+        return x
+
+    @staticmethod
+    def _reduce(field: GroundField, p: int, q: int, d: int) -> "FieldElement":
+        """The element ``(p + q*w)/d`` for any integers with ``d != 0``."""
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+        x = _new(FieldElement)
+        x._field, x._p, x._q, x._d = field, p, q, d
+        return x
+
+    # -- read-only views ---------------------------------------------------
+
+    @property
+    def field(self) -> GroundField:
+        return self._field
+
+    @property
+    def p(self) -> int:
+        """Integer rational part over the common denominator ``d``."""
+        return self._p
+
+    @property
+    def q(self) -> int:
+        """Integer coefficient of the symbol over the common denominator ``d``."""
+        return self._q
+
+    @property
+    def d(self) -> int:
+        """The common denominator, positive."""
+        return self._d
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part ``p/d``, reduced."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient ``q/d`` of the symbol, reduced."""
+        return Fraction(self._q, self._d)
 
     # -- helpers -----------------------------------------------------------
 
-    def _coerce(self, other) -> "FieldElement | None":
+    def _parts(self, other) -> "tuple[int, int, int] | None":
+        """The normal-form integers of ``other`` read in this field.
+
+        None if ``other`` is not a number; elements of another field coerce
+        only when rational.
+        """
+        if type(other) is int:
+            return (other, 0, 1)
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                if other.b == 0:
-                    return FieldElement(self.field, other.a, Fraction(0))
-                if self.b == 0:
-                    # handled by reflected operation on the other element
-                    raise FieldMismatch(
-                        f"cannot mix {self.field.tag} and {other.field.tag} elements"
-                    )
-                raise FieldMismatch(
-                    f"cannot mix {self.field.tag} and {other.field.tag} elements"
-                )
-            return other
+            if other._field is self._field or other._q == 0 or other._field == self._field:
+                return (other._p, other._q, other._d)
+            raise FieldMismatch(
+                f"cannot mix {self._field.tag} and {other._field.tag} elements"
+            )
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, Fraction(other), Fraction(0))
+            return (other.numerator, 0, other.denominator)
         return None
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._d == other._d
+            and (self._field is other._field or self._field == other._field)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._d))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.a + o.a, self.b + o.b)
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o
+        if d1 == d2:
+            return FieldElement._reduce(self._field, p1 + p2, q1 + q2, d1)
+        if not (q1 or q2):
+            return FieldElement._reduce(self._field, p1 * d2 + p2 * d1, 0, d1 * d2)
+        return FieldElement._reduce(
+            self._field, p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.a, -self.b)
+        return FieldElement._make(self._field, -self._p, -self._q, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.a - o.a, self.b - o.b)
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o
+        if d1 == d2:
+            return FieldElement._reduce(self._field, p1 - p2, q1 - q2, d1)
+        if not (q1 or q2):
+            return FieldElement._reduce(self._field, p1 * d2 - p2 * d1, 0, d1 * d2)
+        return FieldElement._reduce(
+            self._field, p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
+        )
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return o - self
+        return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        w2 = self.field.symbol_square
-        if w2 is None:
-            return FieldElement(self.field, self.a * o.a, Fraction(0))
-        return FieldElement(
-            self.field,
-            self.a * o.a + w2 * self.b * o.b,
-            self.a * o.b + self.b * o.a,
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o
+        if not (q1 or q2):
+            return FieldElement._reduce(self._field, p1 * p2, 0, d1 * d2)
+        return FieldElement._reduce(
+            self._field,
+            p1 * p2 + self._field._w2 * q1 * q2,
+            p1 * q2 + q1 * p2,
+            d1 * d2,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        n = self.norm()
+        p, q, d = self._p, self._q, self._d
+        # d / (p + q*w) = d (p - q*w) / (p^2 - w^2 q^2), and w^2 is no square
+        n = p * p - self._field._w2 * q * q
         if n == 0:
             raise ZeroDivisionError("division by zero field element")
-        g = self.galois_conjugate()
-        return FieldElement(self.field, g.a / n, g.b / n)
+        return FieldElement._reduce(self._field, d * p, -d * q, n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o
+        if not (q1 or q2):
+            if p2 == 0:
+                raise ZeroDivisionError("division by zero field element")
+            return FieldElement._reduce(self._field, p1 * d2, 0, d1 * p2)
+        w2 = self._field._w2
+        n2 = p2 * p2 - w2 * q2 * q2
+        if n2 == 0:
+            raise ZeroDivisionError("division by zero field element")
+        # (p1 + q1 w)/d1 * d2 (p2 - q2 w)/n2
+        return FieldElement._reduce(
+            self._field,
+            d2 * (p1 * p2 - w2 * q1 * q2),
+            d2 * (q1 * p2 - p1 * q2),
+            d1 * n2,
+        )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
+        out = self._field.one()
         base = self
         while k:
             if k & 1:
@@ -294,77 +421,59 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         """Complex conjugate (negates ``b`` only in the Gaussian field)."""
-        if self.field.tag == "gaussian":
-            return FieldElement(self.field, self.a, -self.b)
+        if self._field._w2 == -1:
+            return FieldElement._make(self._field, self._p, -self._q, self._d)
         return self
 
     def galois_conjugate(self) -> "FieldElement":
         """The conjugate ``a - b*w`` over Q."""
-        return FieldElement(self.field, self.a, -self.b)
+        return FieldElement._make(self._field, self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """Field norm ``(a + b*w)(a - b*w)`` as a rational number."""
-        w2 = self.field.symbol_square
-        if w2 is None:
-            return self.a * self.a
-        return self.a * self.a - w2 * self.b * self.b
+        p, q, d = self._p, self._q, self._d
+        return Fraction(p * p - self._field._w2 * q * q, d * d)
 
     def imag_fraction(self) -> Fraction:
         """Imaginary part of the complex embedding; exact, often 0."""
-        if self.field.tag == "gaussian":
-            return self.b
+        if self._field._w2 == -1:
+            return Fraction(self._q, self._d)
         return Fraction(0)
-
-    def real_embedding_fraction_bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact rational lower/upper bounds for a real element."""
-        if self.field.tag == "gaussian":
-            raise ValueError("gaussian elements are not real")
-        if self.field.tag == "rational" or self.b == 0:
-            return self.a, self.a
-        D = self.field.D
-        # b*sqrt(D) bracketed by scaled integer square roots
-        scale = 10**12
-        num = self.b.numerator * self.b.numerator * D * scale * scale
-        den = self.b.denominator * self.b.denominator
-        root = isqrt(num // den)
-        lo = Fraction(root, scale)
-        hi = Fraction(root + 1, scale)
-        if self.b > 0:
-            return self.a + lo, self.a + hi
-        return self.a - hi, self.a - lo
 
     # -- order and sign ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def sign(self) -> int:
         """Exact sign of a real element; errors in the Gaussian field."""
-        if not self.field.is_real:
+        return self._real_sign(self._p, self._q)
+
+    def _real_sign(self, p: int, q: int) -> int:
+        """Exact sign of ``p + q*w`` in this field, which must be real."""
+        w2 = self._field._w2
+        if w2 < 0:
             raise ValueError("gaussian elements have no sign")
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 with D b^2 (equality impossible, D square-free)
-        D = self.field.D
-        if a * a > D * b * b:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        # mixed signs: compare p^2 with D q^2 (equality impossible, D square-free)
+        if p * p > w2 * q * q:
+            return 1 if p > 0 else -1
+        return 1 if q > 0 else -1
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             raise TypeError(f"cannot compare FieldElement with {type(other)!r}")
-        return (self - o).sign()
+        p2, q2, d2 = o
+        # the sign of self - other, scaled by the positive d1 * d2
+        d1 = self._d
+        return self._real_sign(self._p * d2 - p2 * d1, self._q * d2 - q2 * d1)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -380,59 +489,83 @@ class FieldElement:
 
     def floor(self) -> int:
         """Exact floor of a real element."""
-        if not self.field.is_real:
+        w2 = self._field._w2
+        if w2 < 0:
             raise ValueError("gaussian elements have no floor")
-        lo, hi = self.real_embedding_fraction_bounds()
-        n = lo.numerator // lo.denominator
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        p, q = self._p, self._q
+        if q:
+            # q*sqrt(D) is irrational, strictly between r and r + 1 (or
+            # -r - 1 and -r), and the floor of (p + q*sqrt(D))/d is the floor
+            # of (p + that lower integer)/d
+            r = isqrt(w2 * q * q)
+            p += r if q > 0 else -r - 1
+        return p // self._d
 
     # -- embeddings --------------------------------------------------------
 
     def __complex__(self) -> complex:
-        w2 = self.field.symbol_square
-        if w2 is None:
-            return complex(self.a)
+        w2 = self._field._w2
+        a = self._p / self._d
+        if w2 == 0:
+            return complex(a)
+        b = self._q / self._d
         if w2 == -1:
-            return complex(self.a) + 1j * float(self.b)
-        return complex(float(self.a) + float(self.b) * (w2**0.5))
+            return complex(a) + 1j * b
+        return complex(a + b * (w2**0.5))
 
     def __float__(self) -> float:
-        if not self.field.is_real:
+        if not self._field.is_real:
             raise ValueError("gaussian elements are not real")
         return complex(self).real
 
     def __repr__(self) -> str:
-        if self.field.tag == "rational" or self.b == 0:
-            return f"{self.a}"
-        sym = "i" if self.field.tag == "gaussian" else f"sqrt({self.field.D})"
-        if self.a == 0:
-            return f"{self.b}*{sym}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {abs(self.b)}*{sym}"
+        a, b = self.a, self.b
+        if b == 0:
+            return f"{a}"
+        sym = "i" if self._field.tag == "gaussian" else f"sqrt({self._field.D})"
+        if a == 0:
+            return f"{b}*{sym}"
+        op = "+" if b > 0 else "-"
+        return f"{a} {op} {abs(b)}*{sym}"
 
     # -- serialization -----------------------------------------------------
 
     def coords(self) -> list[Fraction]:
         """Coordinates over Q: one for rational, two otherwise."""
-        if self.field.tag == "rational":
+        if self._field.tag == "rational":
             return [self.a]
         return [self.a, self.b]
 
+    def fraction_parts(self) -> tuple[int, int, int, int]:
+        """Numerators and denominators of the reduced ``a`` and ``b``."""
+        p, q, d = self._p, self._q, self._d
+        if q == 0:
+            return (p, d, 0, 1)  # gcd(p, d) = 1 when q = 0
+        ga, gb = gcd(p, d), gcd(q, d)
+        return (p // ga, d // ga, q // gb, d // gb)
+
     def to_json(self) -> list[list[str]]:
-        return [[str(c.numerator), str(c.denominator)] for c in self.coords()]
+        an, ad, bn, bd = self.fraction_parts()
+        if self._field.tag == "rational":
+            return [[str(an), str(ad)]]
+        return [[str(an), str(ad)], [str(bn), str(bd)]]
 
     @staticmethod
     def from_json(field: GroundField, data) -> "FieldElement":
-        coords = [Fraction(int(num), int(den)) for num, den in data]
-        if field.tag == "rational":
-            (a,) = coords
-            return field.element(a)
-        a, b = coords
-        return field.element(a, b)
+        """Parse ``to_json`` output; raises `IsoleafError` if malformed."""
+        size = 1 if field.tag == "rational" else 2
+        try:
+            pairs = [(int(num), int(den)) for num, den in data]
+        except (TypeError, ValueError) as exc:
+            raise IsoleafError(f"malformed field element {data!r}: {exc}") from None
+        if len(pairs) != size:
+            raise IsoleafError(
+                f"a {field.tag} element has {size} coordinate(s), got {data!r}"
+            )
+        if any(den == 0 for _, den in pairs):
+            raise IsoleafError(f"zero denominator in field element {data!r}")
+        (pa, da), (pb, db) = pairs if size == 2 else pairs + [(0, 1)]
+        return FieldElement._reduce(field, pa * db, pb * da, da * db)
 
 
 # ---------------------------------------------------------------------------

@@ -587,7 +587,7 @@ def cylinder_boundary_surface(k: int, l: int, sign: int, t):
             return PinchedTorus(location=(k, l, sign))
         return PointInH2m2(location=(k, l, sign, t))
     offset = (s - l) / k
-    if offset.b == 0 and offset.a.denominator == 1:
+    if offset.q == 0 and offset.d == 1:
         return PointInH2m2(location=(k, l, sign, t))
 
     if s.sign() < 0:
