@@ -24,8 +24,6 @@ angles at singular points are certified in integer multiples of
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -383,16 +381,6 @@ def _coord_triples(bound: int) -> list[CharacteristicTriple]:
     return sorted(out, key=CharacteristicTriple.sort_key)
 
 
-def _pool_map(fn, items):
-    """Deterministic map, parallel over a small worker pool if configured."""
-    threads = int(os.environ.get("ISOLEAF_THREADS", "1") or "1")
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _dedupe_gluings(records) -> list[Gluing]:
     seen = {}
     for g in records:
@@ -440,7 +428,7 @@ def build_positive(bound: int) -> Atlas:
             Gluing(slit_r, ray_neg, -1, Q.element(1)),
         ]
 
-    records = [g for recs in _pool_map(records_for, prims) for g in recs]
+    records = [g for gamma in prims for g in records_for(gamma)]
     gluings = _with_reverses(records)
     atlas = Atlas(
         kind="positive",
@@ -488,6 +476,8 @@ def build_negative(bound: int) -> Atlas:
     direction ``u`` of the triangle chamber of the triple
     ``(u, v_can + m u, -u - (v_can + m u))``, by ``t = m + s``.
     """
+    if bound < 1:
+        raise WrongLeafKind("negative atlases need bound >= 1")
     chi = PeriodCharacter.gaussian((1, 0), (0, -1))
     Q = GroundField.rational()
     prims = primitive_elements(bound)
@@ -509,7 +499,7 @@ def build_negative(bound: int) -> Atlas:
             recs.append(Gluing(seg_side, seg_line, +1, Q.element(m)))
         return recs
 
-    records = [g for recs in _pool_map(records_for, triples) for g in recs]
+    records = [g for T in triples for g in records_for(T)]
     gluings = _with_reverses(records)
     atlas = Atlas(
         kind="negative",
@@ -669,7 +659,7 @@ def build_arithmetic(kmax: int) -> Atlas:
     chambers = [CylArithChamber(k, l, s) for (k, l) in pairs for s in (+1, -1)]
     chambers.sort(key=_chamber_key)
 
-    plus = [g for recs in _pool_map(lambda kl: _plus_records(*kl, kmax, Q), pairs) for g in recs]
+    plus = [g for k, l in pairs for g in _plus_records(k, l, kmax, Q)]
     records = plus + [_iota_image(g) for g in plus]
     gluings = _with_reverses(records)
 
@@ -768,7 +758,11 @@ def build_nonarith(theta, bound: int) -> Atlas:
         If theta is rational (the leaf would be arithmetic).
     NonQuadraticTheta
         If theta is not an exact real quadratic number.
+    WrongLeafKind
+        If ``bound < 1``.
     """
+    if bound < 1:
+        raise WrongLeafKind("non-arithmetic atlases need bound >= 1")
     if isinstance(theta, (int, Fraction)):
         raise RationalTheta(f"theta = {theta} is rational")
     if not isinstance(theta, FieldElement):
@@ -788,10 +782,7 @@ def build_nonarith(theta, bound: int) -> Atlas:
     chambers = [CylChamber(u) for u in prims]
     chambers.sort(key=_chamber_key)
 
-    def records_for(T: CharacteristicTriple):
-        return _collapsed_records(chi, T)
-
-    records = [g for recs in _pool_map(records_for, triples) for g in recs]
+    records = [g for T in triples for g in _collapsed_records(chi, T)]
     gluings = _with_reverses(records)
     atlas = Atlas(
         kind="nonarith_real",
@@ -1484,30 +1475,51 @@ def _ident_json(ident):
     return enc(ident)
 
 
+_KINDS = ("positive", "negative", "arith_real", "nonarith_real")
+
+
 def atlas_from_json_dict(data: dict) -> Atlas:
-    """Rebuild an atlas from its canonical JSON (stars are re-derived)."""
+    """Rebuild an atlas from its canonical JSON (stars are re-derived).
+
+    Raises
+    ------
+    IsoleafError
+        If the document is not a well-formed atlas: wrong schema, a missing
+        key, a value of the wrong type, or a malformed exact coordinate.
+    """
+    if not isinstance(data, dict):
+        raise IsoleafError(f"an atlas is a JSON object, got {type(data).__name__}")
     if data.get("schema") != _SCHEMA:
         raise IsoleafError(f"unknown atlas schema {data.get('schema')!r}")
-    chi = PeriodCharacter.from_json_dict(data["character"])
-    kind = data["kind"]
-    fld = chi.field if kind == "nonarith_real" else GroundField.rational()
-    chambers = [_chamber_from_json(c) for c in data["chambers"]]
-    gluings = [
-        Gluing(
-            _seg_from_json(g["a"], fld),
-            _seg_from_json(g["b"], fld),
-            int(g["sigma"]),
-            FieldElement.from_json(fld, g["c"]),
-        )
-        for g in data["gluings"]
-    ]
+    try:
+        chi = PeriodCharacter.from_json_dict(data["character"])
+        kind = data["kind"]
+        if kind not in _KINDS:
+            raise IsoleafError(f"unknown atlas kind {kind!r}")
+        fld = chi.field if kind == "nonarith_real" else GroundField.rational()
+        chambers = [_chamber_from_json(c) for c in data["chambers"]]
+        gluings = [
+            Gluing(
+                _seg_from_json(g["a"], fld),
+                _seg_from_json(g["b"], fld),
+                int(g["sigma"]),
+                FieldElement.from_json(fld, g["c"]),
+            )
+            for g in data["gluings"]
+        ]
+        bound = int(data["bound"])
+        truncated = [_seg_from_json(s, fld) for s in data["truncated"]]
+    except KeyError as exc:
+        raise IsoleafError(f"malformed atlas: missing key {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise IsoleafError(f"malformed atlas: {exc}") from None
     atlas = Atlas(
         kind=kind,
         character=chi,
-        bound=int(data["bound"]),
+        bound=bound,
         chambers=chambers,
         gluings=gluings,
-        truncated=[_seg_from_json(s, fld) for s in data["truncated"]],
+        truncated=truncated,
         singularities=[],
         complete={},
     )

@@ -198,9 +198,6 @@ class GroundField:
         return self.element(0, 1)
 
 
-_new = object.__new__
-
-
 class FieldElement:
     """An exact number ``a + b*w`` where ``w in {i, sqrt(D)}`` (or ``b = 0``).
 
@@ -217,6 +214,7 @@ class FieldElement:
     __slots__ = ("_field", "_p", "_q", "_d")
 
     def __init__(self, field: GroundField, a, b=0) -> None:
+        """The element ``a + b*w`` of ``field``, for any ``a, b`` `Fraction` accepts."""
         if type(a) is int and type(b) is int:
             p, q, d = a, b, 1
         else:
@@ -229,13 +227,6 @@ class FieldElement:
         self._field, self._p, self._q, self._d = field, p, q, d
 
     @staticmethod
-    def _make(field: GroundField, p: int, q: int, d: int) -> "FieldElement":
-        """The element ``(p + q*w)/d`` from integers already in normal form."""
-        x = _new(FieldElement)
-        x._field, x._p, x._q, x._d = field, p, q, d
-        return x
-
-    @staticmethod
     def _reduce(field: GroundField, p: int, q: int, d: int) -> "FieldElement":
         """The element ``(p + q*w)/d`` for any integers with ``d != 0``."""
         if d < 0:
@@ -243,7 +234,7 @@ class FieldElement:
         g = gcd(p, q, d)
         if g != 1:
             p, q, d = p // g, q // g, d // g
-        x = _new(FieldElement)
+        x = object.__new__(FieldElement)
         x._field, x._p, x._q, x._d = field, p, q, d
         return x
 
@@ -321,8 +312,6 @@ class FieldElement:
         p2, q2, d2 = o
         if d1 == d2:
             return FieldElement._reduce(self._field, p1 + p2, q1 + q2, d1)
-        if not (q1 or q2):
-            return FieldElement._reduce(self._field, p1 * d2 + p2 * d1, 0, d1 * d2)
         return FieldElement._reduce(
             self._field, p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
         )
@@ -330,7 +319,7 @@ class FieldElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement._make(self._field, -self._p, -self._q, self._d)
+        return FieldElement._reduce(self._field, -self._p, -self._q, self._d)
 
     def __sub__(self, other):
         o = self._parts(other)
@@ -340,8 +329,6 @@ class FieldElement:
         p2, q2, d2 = o
         if d1 == d2:
             return FieldElement._reduce(self._field, p1 - p2, q1 - q2, d1)
-        if not (q1 or q2):
-            return FieldElement._reduce(self._field, p1 * d2 - p2 * d1, 0, d1 * d2)
         return FieldElement._reduce(
             self._field, p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
         )
@@ -422,12 +409,12 @@ class FieldElement:
     def conjugate(self) -> "FieldElement":
         """Complex conjugate (negates ``b`` only in the Gaussian field)."""
         if self._field._w2 == -1:
-            return FieldElement._make(self._field, self._p, -self._q, self._d)
+            return FieldElement._reduce(self._field, self._p, -self._q, self._d)
         return self
 
     def galois_conjugate(self) -> "FieldElement":
         """The conjugate ``a - b*w`` over Q."""
-        return FieldElement._make(self._field, self._p, -self._q, self._d)
+        return FieldElement._reduce(self._field, self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """Field norm ``(a + b*w)(a - b*w)`` as a rational number."""
@@ -529,12 +516,6 @@ class FieldElement:
         return f"{a} {op} {abs(b)}*{sym}"
 
     # -- serialization -----------------------------------------------------
-
-    def coords(self) -> list[Fraction]:
-        """Coordinates over Q: one for rational, two otherwise."""
-        if self._field.tag == "rational":
-            return [self.a]
-        return [self.a, self.b]
 
     def fraction_parts(self) -> tuple[int, int, int, int]:
         """Numerators and denominators of the reduced ``a`` and ``b``."""

@@ -42,7 +42,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from isoleaf.leaf_atlas import _pool_map
 from isoleaf.period_algebra import (
     IsoleafError,
     PeriodCharacter,
@@ -949,12 +948,9 @@ def trace_many(
     t_samples: Sequence[float],
     precision: float = 1e-9,
 ) -> dict[tuple[int, int], ChamberTrace]:
-    """Concurrent chamber traces (sequential continuation within each)."""
+    """Chamber traces of several classes, keyed by class."""
     us = [tuple(int(c) for c in u) for u in us]
-    results = _pool_map(
-        lambda u: chamber_trace(chi, u, t_samples, precision), us
-    )
-    return dict(zip(us, results))
+    return {u: chamber_trace(chi, u, t_samples, precision) for u in us}
 
 
 @dataclass

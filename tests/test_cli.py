@@ -226,20 +226,51 @@ class TestAtlasCommands:
         assert report["counterexamples"], "failure must carry machine-readable counterexamples"
         assert any("chamber" in json.dumps(entry) for entry in report["counterexamples"])
 
+    @pytest.mark.parametrize(
+        "case",
+        ["schema-only", "list", "zero-denominator", "two-coordinates-over-Q", "non-integer"],
+    )
+    def test_malformed_atlas_exits_1_in_one_line(self, capsys, tmp_path, case):
+        path = tmp_path / "arith.json"
+        code, _, _ = invoke(
+            capsys,
+            ["atlas", "build", "--kind", "arithmetic", "--kmax", "2", "--out", str(path)],
+        )
+        assert code == 0
+        doc = json.loads(path.read_text())
+        if case == "schema-only":
+            doc = {"schema": "isoleaf-atlas/1"}
+        elif case == "list":
+            doc = []
+        elif case == "zero-denominator":
+            doc["gluings"][0]["c"] = [["1", "0"]]
+        elif case == "two-coordinates-over-Q":
+            doc["gluings"][0]["c"] = [["1", "2"], ["3", "4"]]
+        else:
+            doc["gluings"][0]["c"] = [["x", "2"]]
+        path.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, ["atlas", "check", str(path)])
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "negative", "--bound", "-3"],
+            ["--kind", "nonarith", "--D", "2", "--theta", "1/3,1/7", "--bound", "0"],
+        ],
+    )
+    def test_bound_below_one_exits_1(self, capsys, argv):
+        code, out, err = invoke(capsys, ["atlas", "build", *argv])
+        assert code == 1
+        assert out == ""
+        assert "bound >= 1" in err
+
     def test_missing_atlas_file_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.run(["atlas", "check", str(tmp_path / "absent.json")])
         assert exc.value.code == 2
-
-    def test_threads_env_respected(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOLEAF_THREADS", "2")
-        path = tmp_path / "arith2.json"
-        code, _, _ = invoke(
-            capsys,
-            ["atlas", "build", "--kind", "arithmetic", "--kmax", "6", "--out", str(path)],
-        )
-        assert code == 0
-        assert json.loads(path.read_text())["kind"] == "arith_real"
 
 
 class TestTeichCommands:

@@ -42,8 +42,10 @@ from isoleaf.leaf_atlas import Sector, _iota_image, _partner_offset
 from isoleaf.period_algebra import (
     CharacteristicTriple,
     GroundField,
+    IsoleafError,
     LatticeElement,
     PeriodCharacter,
+    WrongLeafKind,
     pm_representative,
     symplectic_partner,
 )
@@ -495,6 +497,11 @@ class TestPositiveAtlas:
 
 
 class TestNegativeAtlas:
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(WrongLeafKind):
+            build_negative(bound)
+
     def test_chamber_census_bound2(self):
         atlas = build_negative(2)
         ncyl = sum(1 for c in atlas.chambers if isinstance(c, CylChamber))
@@ -610,6 +617,12 @@ class TestNegativeAtlas:
 
 
 class TestNonArithAtlas:
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        theta = GroundField.quadratic(2).element(Fraction(1, 3), Fraction(1, 7))
+        with pytest.raises(WrongLeafKind):
+            build_nonarith(theta, bound)
+
     def theta(self):
         F = GroundField.quadratic(2)
         return F.element(-1, 1)  # sqrt(2) - 1
@@ -741,6 +754,37 @@ class TestAtlasJson:
 
         with pytest.raises(IsoleafError):
             atlas_from_json_dict(d)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "schema-only",
+            "list",
+            "zero-denominator",
+            "two-coordinates-over-Q",
+            "non-integer",
+            "unknown-kind",
+            "chamber-not-an-object",
+        ],
+    )
+    def test_malformed_documents_raise_isoleaf_error(self, case):
+        doc = atlas_to_json_dict(build_arithmetic(2))
+        if case == "schema-only":
+            doc = {"schema": "isoleaf-atlas/1"}
+        elif case == "list":
+            doc = []
+        elif case == "zero-denominator":
+            doc["gluings"][0]["c"] = [["1", "0"]]
+        elif case == "two-coordinates-over-Q":
+            doc["gluings"][0]["a"]["lo"] = [["1", "2"], ["3", "4"]]
+        elif case == "non-integer":
+            doc["truncated"][0]["hi"] = [["x", "2"]]
+        elif case == "unknown-kind":
+            doc["kind"] = "hyperbolic"
+        else:
+            doc["chambers"][0] = "cyl_arith"
+        with pytest.raises(IsoleafError):
+            atlas_from_json_dict(doc)
 
     def test_singularity_records_preserved(self):
         atlas = build_arithmetic(3)
