@@ -1,7 +1,8 @@
 """Byte identity of atlas JSON and SVG against pinned digests.
 
 The digests were taken before the exact kernel was rewritten over
-integers.  A change to the kernel, the atlas builders or the renderer that
+integers; those of ``arithmetic-24`` before the wall tree read its
+endpoint stars from the atlas and the viewport map went to integers.  A change to the kernel, the atlas builders or the renderer that
 alters a single byte of the canonical JSON (chamber order, gluing order,
 coordinate text, singularity ids) or of the SVG fails here, even when the
 atlas still round-trips and passes `check_atlas`.
@@ -29,6 +30,11 @@ GOLDEN = {
         lambda: build_arithmetic(12),
         "a4256833ae08d133e28a3459205c98c5e6c96f51f306386900346ab1c52a226f",
         "6b764c89edc13c282ae13047725f8a73df8068c1be195d29f30f46e2585d1546",
+    ),
+    "arithmetic-24": (
+        lambda: build_arithmetic(24),
+        "fdb7011ca4b5dc271d16cbfe36095bfd36d39f7fbada60cdd060db86281a74fe",
+        "98fea57cfa55b3cb2c3060c40d14b7a0af22a16891e1a3c0687c53db37d38f82",
     ),
     "negative-6": (
         lambda: build_negative(6),

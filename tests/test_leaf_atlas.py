@@ -38,7 +38,7 @@ from isoleaf.leaf_atlas import (
     wall_surface_match,
     wall_tree,
 )
-from isoleaf.leaf_atlas import Sector, _iota_image, _partner_offset
+from isoleaf.leaf_atlas import Sector, _Unglued, _iota_image, _partner_offset, _walk_star
 from isoleaf.period_algebra import (
     CharacteristicTriple,
     GroundField,
@@ -367,6 +367,89 @@ class TestWallTree:
 
         for b in tree.branches:
             visit(b)
+
+    @pytest.mark.parametrize("kmax", range(1, 22))
+    def test_matches_star_walk_oracle(self, kmax):
+        atlas = build_arithmetic(kmax)
+        tree = wall_tree(atlas)
+        branches, quotient = _oracle_wall_tree(atlas)
+        assert tree.quotient_edges == quotient
+        assert len(tree.branches) == len(branches)
+        for got, want in zip(tree.branches, branches):
+            _assert_same_node(got, want)
+
+    def test_loaded_atlas_gives_the_same_tree(self):
+        atlas = build_arithmetic(8)
+        again = atlas_from_json_dict(json.loads(json.dumps(atlas_to_json_dict(atlas))))
+        branches, quotient = _oracle_wall_tree(atlas)
+        tree = wall_tree(again)
+        assert tree.quotient_edges == quotient
+        for got, want in zip(tree.branches, branches, strict=True):
+            _assert_same_node(got, want)
+
+
+def _oracle_orbit_key(g):
+    variants = [g, g.reverse(), _iota_image(g), _iota_image(g).reverse()]
+    return min(v.key() for v in variants)
+
+
+def _oracle_endpoint(atlas, g, which):
+    # a fresh star walk from the wall's endpoint germ
+    seg = g.seg_a
+    v = seg.lo if which == "lo" else seg.hi
+    if seg.chamber.k == 1 and v.is_zero():
+        return ("center",), False
+    germ = (seg.chamber, seg.part, v, +1 if which == "lo" else -1)
+    try:
+        return _walk_star(atlas, germ).ident, False
+    except _Unglued:
+        return None, True
+
+
+def _oracle_wall_tree(atlas):
+    """Branches and quotient of the wall tree, walking every endpoint star."""
+    walls = {g.seg_a.key(): g for g in atlas.gluings if g.seg_a.chamber.sign == +1}
+    walls = list(walls.values())
+    by_vertex, ends = {}, {}
+    for g in walls:
+        ends[g.seg_a.key()] = [_oracle_endpoint(atlas, g, w) for w in ("lo", "hi")]
+        for ident, _ in ends[g.seg_a.key()]:
+            if ident is not None:
+                by_vertex.setdefault(ident, []).append(g)
+
+    def grow(g, came_from, depth):
+        (id_lo, tr_lo), (id_hi, tr_hi) = ends[g.seg_a.key()]
+        if id_lo == came_from and id_hi != came_from:
+            far, trunc = id_hi, tr_hi
+        else:
+            far, trunc = id_lo, tr_lo
+        node = (g, g.seg_a.hi.a - g.seg_a.lo.a, far, trunc, [])
+        if trunc or far is None or far == ("center",) or depth <= 0:
+            return node
+        orbits = {}
+        for h in by_vertex.get(far, []):
+            orbits.setdefault(_oracle_orbit_key(h), []).append(h)
+        for key in sorted(orbits):
+            if key != _oracle_orbit_key(g):
+                rep = min(orbits[key], key=lambda h: h.key())
+                node[4].append(grow(rep, far, depth - 1))
+        return node
+
+    roots = [g for g in walls if ("center",) in [e[0] for e in ends[g.seg_a.key()]]]
+    roots.sort(key=lambda g: g.key())
+    branches = [grow(g, ("center",), 4 * atlas.bound + 8) for g in roots]
+    return branches, sorted({_oracle_orbit_key(g) for g in walls})
+
+
+def _assert_same_node(got, want):
+    record, length, far, truncated, children = want
+    assert got.record.key() == record.key()
+    assert got.length == length
+    assert got.far_vertex == far
+    assert got.truncated == truncated
+    assert len(got.children) == len(children)
+    for c_got, c_want in zip(got.children, children):
+        _assert_same_node(c_got, c_want)
 
 
 class TestReachability:
