@@ -263,6 +263,14 @@ def _cmd_veech(parser, args) -> int:
     chi = _character(parser, args)
     _log_run(chi, None)
     group = veech_group(chi)
+    limit = sys.get_int_max_str_digits()
+    if isinstance(group, QuadraticV) and limit and any(
+        abs(x) >= 10**limit for x in group.generator
+    ):
+        raise IsoleafError(
+            f"the generator eps^{group.exponent} over D = {group.D} has more than "
+            f"{limit} decimal digits, past the int-to-str limit"
+        )
     print(json.dumps(_veech_descriptor_dict(group), sort_keys=True, indent=2))
     return 0
 

@@ -1174,43 +1174,59 @@ def _wall_orbit_key(g: Gluing):
     return min(v.key() for v in variants)
 
 
-def _wall_endpoint_vertex(atlas: Atlas, g: Gluing, which: str):
+def _wall_endpoint_vertex(star_at: dict, g: Gluing, which: str):
     seg = g.seg_a
     v = seg.lo if which == "lo" else seg.hi
-    germ = (seg.chamber, seg.part, v, +1 if which == "lo" else -1)
-    ch = seg.chamber
-    if ch.k == 1 and v.is_zero():
+    if seg.chamber.k == 1 and v.is_zero():
         return ("center",), False
-    try:
-        star = _walk_star(atlas, germ)
-    except _Unglued:
-        return None, True
-    return star.ident, False
+    # the corner's sector, as `_other_germ` names it; no star means the
+    # walk around this corner runs into an unglued ray
+    ident = star_at.get((seg.chamber, ("t", (v.a, v.b))))
+    return ident, ident is None
 
 
 def wall_tree(atlas: Atlas) -> WallTree:
-    """Unfold the wall set of an arithmetic atlas into its rooted tree."""
+    """Unfold the wall set of an arithmetic atlas into its rooted tree.
+
+    Wall endpoints are looked up in the stars the atlas already holds
+    (``atlas.singularities``), and each wall's keys are computed once.
+    """
     if atlas.kind != "arith_real":
         raise WrongLeafKind("wall trees are defined for arithmetic atlases")
+    star_at = {
+        (sector.chamber, sector.vertex): star.ident
+        for star in atlas.singularities
+        for sector in star.sectors
+    }
     # one marked wall per record pair: keep source = plus chamber
     marked = {}
     for g in atlas.gluings:
         if g.seg_a.chamber.sign == +1:
             marked[g.seg_a.key()] = g
     walls = list(marked.values())
+    # per wall, by id: endpoint (ident, truncated) pairs, orbit key, record key
+    ends, orbit, order = {}, {}, {}
     by_vertex = {}
-    ends = {}
     for g in walls:
-        pair = []
-        for which in ("lo", "hi"):
-            ident, trunc = _wall_endpoint_vertex(atlas, g, which)
-            pair.append((ident, trunc))
+        pair = [_wall_endpoint_vertex(star_at, g, which) for which in ("lo", "hi")]
+        for ident, _ in pair:
             if ident is not None:
                 by_vertex.setdefault(ident, []).append(g)
-        ends[g.seg_a.key()] = pair
+        ends[id(g)] = pair
+        orbit[id(g)] = _wall_orbit_key(g)
+        order[id(g)] = g.key()
+    # per vertex: the least wall of each incident orbit, in orbit-key order
+    branches_at = {}
+    for ident, incident in by_vertex.items():
+        reps = {}
+        for h in incident:
+            key = orbit[id(h)]
+            if key not in reps or order[id(h)] < order[id(reps[key])]:
+                reps[key] = h
+        branches_at[ident] = sorted(reps.items())
 
     def grow(g: Gluing, came_from: tuple, depth: int) -> WallTreeNode:
-        (id_lo, tr_lo), (id_hi, tr_hi) = ends[g.seg_a.key()]
+        (id_lo, tr_lo), (id_hi, tr_hi) = ends[id(g)]
         if id_lo == came_from and id_hi != came_from:
             far, trunc = id_hi, tr_hi
         else:
@@ -1221,21 +1237,15 @@ def wall_tree(atlas: Atlas) -> WallTree:
         )
         if trunc or far is None or far == ("center",) or depth <= 0:
             return node
-        my_orbit = _wall_orbit_key(g)
-        orbits = {}
-        for h in by_vertex.get(far, []):
-            orbits.setdefault(_wall_orbit_key(h), []).append(h)
-        for key in sorted(orbits):
-            if key == my_orbit:
-                continue
-            rep = min(orbits[key], key=lambda h: h.key())
-            node.children.append(grow(rep, far, depth - 1))
+        for key, rep in branches_at.get(far, ()):
+            if key != orbit[id(g)]:
+                node.children.append(grow(rep, far, depth - 1))
         return node
 
-    roots = [g for g in walls if ("center",) in [e[0] for e in ends[g.seg_a.key()]]]
-    roots.sort(key=lambda g: g.key())
+    roots = [g for g in walls if ("center",) in [e[0] for e in ends[id(g)]]]
+    roots.sort(key=lambda g: order[id(g)])
     branches = [grow(g, ("center",), depth=4 * atlas.bound + 8) for g in roots]
-    quotient = sorted({_wall_orbit_key(g) for g in walls})
+    quotient = sorted(set(orbit.values()))
     return WallTree(root=("center",), branches=branches, quotient_edges=quotient)
 
 

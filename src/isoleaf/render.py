@@ -94,15 +94,25 @@ class Scene:
     # -- emission -----------------------------------------------------------
 
     def _map(self, p) -> tuple[float, float]:
+        # a rational coordinate is one exact quotient of integers, rounded
+        # once by true division (as float(Fraction) rounds it); other
+        # coordinates are mapped in floats
         x, y = p
         s = self.style.scale
-        px = (Fraction(x) - self.xmin) * s if isinstance(x, Fraction) else (
-            float(x) - float(self.xmin)
-        ) * s
-        py = (self.ymax - Fraction(y)) * s if isinstance(y, Fraction) else (
-            float(self.ymax) - float(y)
-        ) * s
-        return float(px), float(py)
+        x0, y1 = self.xmin, self.ymax
+        if isinstance(x, Fraction):
+            px = (x.numerator * x0.denominator - x0.numerator * x.denominator) * s / (
+                x.denominator * x0.denominator
+            )
+        else:
+            px = (float(x) - float(x0)) * s
+        if isinstance(y, Fraction):
+            py = (y1.numerator * y.denominator - y.numerator * y1.denominator) * s / (
+                y.denominator * y1.denominator
+            )
+        else:
+            py = (float(y1) - float(y)) * s
+        return px, py
 
     def _fmt(self, v: float) -> str:
         out = f"{v:.4f}"
@@ -334,10 +344,11 @@ def _render_negative(atlas: Atlas, style: Style) -> str:
     return scene.emit()
 
 
-def _tree_width(node) -> Fraction:
-    if not node.children:
-        return Fraction(1)
-    return sum(_tree_width(c) for c in node.children)
+def _tree_widths(node, out: dict) -> int:
+    """Leaf count of each subtree, filled into ``out`` by node id."""
+    w = sum(_tree_widths(c, out) for c in node.children) if node.children else 1
+    out[id(node)] = w
+    return w
 
 
 def _length_text(length) -> str:
@@ -350,26 +361,23 @@ def _render_wall_tree(atlas: Atlas, style: Style) -> str:
     tree = wall_tree(atlas)
     positions: list[tuple] = []
     edges: list[tuple] = []
+    width: dict = {}
 
-    def place(node, x0: Fraction, depth: int, parent):
-        w = _tree_width(node)
-        x = x0 + w / 2
-        here = (x, Fraction(-depth))
+    def place(node, x0: int, depth: int, parent):
+        here = (x0 + Fraction(width[id(node)], 2), Fraction(-depth))
         positions.append((here, node.truncated))
         edges.append((parent, here, node.length, node.truncated))
         cx = x0
         for child in node.children:
-            cw = _tree_width(child)
             place(child, cx, depth + 1, here)
-            cx += cw
+            cx += width[id(child)]
 
-    total = sum(_tree_width(b) for b in tree.branches) or Fraction(1)
-    rootp = (total / 2, Fraction(0))
-    cx = Fraction(0)
+    total = sum(_tree_widths(b, width) for b in tree.branches) or 1
+    rootp = (Fraction(total, 2), Fraction(0))
+    cx = 0
     for b in tree.branches:
-        bw = _tree_width(b)
         place(b, cx, 1, rootp)
-        cx += bw
+        cx += width[id(b)]
 
     pts = [rootp] + [p for p, _ in positions]
     scene = _scene(pts, style)

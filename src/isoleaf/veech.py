@@ -185,8 +185,7 @@ def gamma_element(F: GroundField) -> FieldElement:
 def fundamental_unit(D: int) -> tuple:
     """The smallest unit > 1 of Z[gamma], as coordinates (alpha, beta).
 
-    Found from the continued-fraction expansion of gamma; for D <= 100
-    the result is re-verified against a direct minimal-beta search.
+    Found from the continued-fraction expansion of gamma.
 
     Raises
     ------
@@ -194,14 +193,7 @@ def fundamental_unit(D: int) -> tuple:
         If D is not a square-free integer >= 2.
     """
     _check_D(D)
-    unit = _cf_unit(D)
-    if D <= 100:
-        brute = _brute_unit(D)
-        if unit != brute:
-            raise IsoleafError(
-                f"unit search mismatch for D={D}: cf {unit} vs direct {brute}"
-            )
-    return unit
+    return _cf_unit(D)
 
 
 def _cf_unit(D: int) -> tuple:
@@ -237,30 +229,6 @@ def _cf_unit(D: int) -> tuple:
     raise IsoleafError(f"continued fraction for D={D} did not produce a unit")
 
 
-def _brute_unit(D: int) -> tuple:
-    # smallest unit > 1 has the smallest positive gamma-coefficient
-    for beta in range(1, 10**7):
-        if D % 4 == 1:
-            # (2 alpha + beta)^2 = D beta^2 -+ 4
-            for sign in (-4, 4):
-                s2 = D * beta * beta + sign
-                if s2 <= 0:
-                    continue
-                s = isqrt(s2)
-                if s * s == s2 and (s - beta) % 2 == 0:
-                    alpha = (s - beta) // 2
-                    return (alpha, beta)
-        else:
-            for sign in (-1, 1):
-                s2 = D * beta * beta + sign
-                if s2 <= 0:
-                    continue
-                s = isqrt(s2)
-                if s * s == s2:
-                    return (s, beta)
-    raise IsoleafError(f"no unit found for D={D}")
-
-
 # ---------------------------------------------------------------------------
 # the quadratic-module group
 
@@ -278,16 +246,15 @@ class QuadraticSearch:
 
     For a quadratic irrational θ some power of the fundamental unit always
     preserves the module, and it is found within one residue cycle of ε
-    modulo M: ``ε^k ≡ 1 (mod M)`` with norm one meets all three conditions,
-    so ``exponent`` is never None for a valid triple.  ``cycle`` lists the
-    residues of ε^1, ..., ε^exponent, which certifies that no smaller power
-    qualifies.
+    modulo M: ``ε^k ≡ 1 (mod M)`` with norm one meets all three conditions.
+    ``cycle`` lists the residues of ε^1, ..., ε^exponent, which certifies
+    that no smaller power qualifies.
     """
 
     D: int
     tau: tuple
-    exponent: int | None
-    generator: tuple | None
+    exponent: int
+    generator: tuple
     modulus: int
     cycle: tuple
 
@@ -302,12 +269,11 @@ def quadratic_group_search(D: int, t: int, l: int, m: int) -> QuadraticSearch:
     M = abs(t * m * NL)
     cur = (1 % M, 0)
     cycle = []
-    j = 0
-    # one full multiplicative cycle of eps mod M decides every condition;
-    # run two cycles so the norm-sign parity is covered when N(eps) = -1
+    # the search returns within one full multiplicative cycle of eps mod M,
+    # where eps^j = 1 with norm one meets every condition; two cycles cover
+    # the norm-sign parity when N(eps) = -1
     limit = 2 * max(M * M, 1) + 2
-    while j < limit:
-        j += 1
+    for j in range(1, limit + 1):
         cur = _ring_mul(D, cur, eps, mod=M)
         cycle.append(cur)
         # the conditions factor through beta mod M: |m| divides M, and
@@ -325,15 +291,13 @@ def quadratic_group_search(D: int, t: int, l: int, m: int) -> QuadraticSearch:
                     modulus=M,
                     cycle=tuple(cycle),
                 )
-        if cur == (1 % M, 0) and (n_eps == 1 or j % 2 == 0):
-            break
-    return QuadraticSearch(
-        D=D, tau=(t, l, m), exponent=None, generator=None, modulus=M, cycle=tuple(cycle)
+    raise IsoleafError(
+        f"no power of the unit up to {limit} preserves (t, l, m) = {(t, l, m)} over D = {D}"
     )
 
 
-def quadratic_group(D: int, t: int, l: int, m: int) -> int | None:
-    """Smallest k >= 1 with ε^k preserving t Z + (l + m γ) Z, else None.
+def quadratic_group(D: int, t: int, l: int, m: int) -> int:
+    """Smallest k >= 1 with ε^k preserving t Z + (l + m γ) Z.
 
     Raises
     ------
@@ -413,8 +377,6 @@ def veech_group(chi: PeriodCharacter):
     tau = module_triple(theta)
     D = theta.field.D
     found = quadratic_group_search(D, *tau)
-    if found.exponent is None:
-        return TriangularV()
     return QuadraticV(D=D, tau=tau, generator=found.generator, exponent=found.exponent)
 
 

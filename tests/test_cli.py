@@ -153,6 +153,20 @@ class TestVeech:
         assert data["generator"] == [3, 2]
         assert data["exponent"] == 2
 
+    def test_generator_past_int_str_limit_exits_1(self, capsys):
+        # eps^100004 over D = 2 has about 38,000 digits
+        code, out, err = invoke(
+            capsys,
+            ["veech", "--field", "quadratic", "--D", "2", "--g1", "1,0", "--g2", "0,1/100003"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        # the run log line, then one error line
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and err.strip().splitlines()[-1] == errors[0]
+        assert "D = 2" in errors[0] and "eps^100004" in errors[0]
+
 
 class TestAtlasCommands:
     def test_build_check_stats_cycle(self, capsys, tmp_path):

@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isoleaf.leaf_atlas import (
     Atlas,
@@ -19,7 +21,7 @@ from isoleaf.period_algebra import (
     LatticeElement,
     PeriodCharacter,
 )
-from isoleaf.render import EmptyAtlas, Style, render_atlas, render_surface
+from isoleaf.render import EmptyAtlas, Scene, Style, render_atlas, render_surface
 from isoleaf.surface_kernel import (
     CylinderSurface,
     InvalidSurface,
@@ -221,3 +223,57 @@ class TestSurfaceFigures:
         svg = render_surface(self.cylinder())
         assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>')
         ET.fromstring(svg)  # parses
+
+
+# ---------------------------------------------------------------------------
+# the viewport map
+
+
+def model_map(scene, p):
+    """The viewport map as first written: Fraction arithmetic, then float."""
+    x, y = p
+    s = scene.style.scale
+    px = (Fraction(x) - scene.xmin) * s if isinstance(x, Fraction) else (
+        float(x) - float(scene.xmin)
+    ) * s
+    py = (scene.ymax - Fraction(y)) * s if isinstance(y, Fraction) else (
+        float(scene.ymax) - float(y)
+    ) * s
+    return float(px), float(py)
+
+
+_fractions = st.one_of(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+)
+_coords = st.one_of(
+    _fractions,
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(-1000, 1000),
+)
+
+
+class TestViewportMap:
+    @given(
+        x=_coords,
+        y=_coords,
+        xmin=_fractions,
+        ymax=_fractions,
+        scale=st.integers(1, 500),
+    )
+    @example(x=Fraction(-1, 10**7), y=Fraction(1, 10**7), xmin=Fraction(0),
+             ymax=Fraction(0), scale=60)
+    @example(x=Fraction(1, 3), y=-0.0, xmin=Fraction(1, 3), ymax=Fraction(0), scale=60)
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_fraction_model(self, x, y, xmin, ymax, scale):
+        scene = Scene(xmin, xmin - 1, ymax + 1, ymax, style=Style(scale=scale))
+        got = scene._map((x, y))
+        want = model_map(scene, (x, y))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert [scene._fmt(v) for v in got] == [scene._fmt(v) for v in want]
+
+    def test_negative_zero_is_written_as_zero(self):
+        scene = Scene(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
+        px, py = scene._map((Fraction(-1, 10**7), Fraction(1, 10**7)))
+        assert px < 0 and py < 0
+        assert scene._fmt(px) == scene._fmt(py) == "0.0000"
