@@ -1170,8 +1170,8 @@ class WallTree:
 
 
 def _wall_orbit_key(g: Gluing):
-    variants = [g, g.reverse(), _iota_image(g), _iota_image(g).reverse()]
-    return min(v.key() for v in variants)
+    flipped = _iota_image(g)
+    return min(v.key() for v in (g, g.reverse(), flipped, flipped.reverse()))
 
 
 def _wall_endpoint_vertex(star_at: dict, g: Gluing, which: str):

@@ -67,7 +67,8 @@ class Scene:
     """Exact drawing instructions: a rational viewport plus layers.
 
     Layers hold primitives in world coordinates; ``emit`` applies the one
-    affine viewport map and quantizes to four decimals.
+    affine viewport map and quantizes to four decimals.  The viewport
+    bounds are rationals (``Fraction`` or ``int``).
     """
 
     xmin: Fraction
