@@ -374,8 +374,7 @@ class TestWallTree:
         tree = wall_tree(atlas)
         branches, quotient = _oracle_wall_tree(atlas)
         assert tree.quotient_edges == quotient
-        assert len(tree.branches) == len(branches)
-        for got, want in zip(tree.branches, branches):
+        for got, want in zip(tree.branches, branches, strict=True):
             _assert_same_node(got, want)
 
     def test_loaded_atlas_gives_the_same_tree(self):
@@ -447,8 +446,7 @@ def _assert_same_node(got, want):
     assert got.length == length
     assert got.far_vertex == far
     assert got.truncated == truncated
-    assert len(got.children) == len(children)
-    for c_got, c_want in zip(got.children, children):
+    for c_got, c_want in zip(got.children, children, strict=True):
         _assert_same_node(c_got, c_want)
 
 
