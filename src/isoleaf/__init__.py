@@ -24,6 +24,7 @@ from isoleaf.period_algebra import (
     CharacteristicTriple,
     FieldElement,
     GroundField,
+    InvalidInput,
     IsoleafError,
     LatticeElement,
     LeafKind,
@@ -92,6 +93,7 @@ __all__ = [
     "EmptyAtlas",
     "FieldElement",
     "GroundField",
+    "InvalidInput",
     "IsoleafError",
     "LatticeElement",
     "LeafKind",

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,7 @@ from .period_algebra import (
     GroundField,
     IsoleafError,
     PeriodCharacter,
+    _is_square_free,
     classify,
     normalize,
     volume,
@@ -90,9 +92,42 @@ def _parse_fractions(parser: argparse.ArgumentParser, flag: str, text: str) -> t
 
 def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> list:
     try:
-        return [float(part.strip()) for part in text.split(",")]
+        values = [float(part.strip()) for part in text.split(",")]
     except ValueError:
-        parser.error(f"{flag}: expected comma-separated numbers")
+        values = []
+    if not values or not all(math.isfinite(x) for x in values):
+        parser.error(f"{flag}: expected comma-separated finite numbers")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
+def _radicand(text: str) -> int:
+    """argparse type: a square-free integer D >= 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2 or not _is_square_free(value):
+        raise argparse.ArgumentTypeError(f"expected a square-free integer >= 2, got {text!r}")
+    return value
 
 
 def _parse_int_pair(parser: argparse.ArgumentParser, flag: str, text: str) -> tuple:
@@ -278,6 +313,8 @@ def _cmd_veech(parser, args) -> int:
 def _cmd_teich_trace(parser, args) -> int:
     chi = _character(parser, args)
     u = _parse_int_pair(parser, "--u", args.u)
+    if math.gcd(*u) != 1:
+        parser.error("--u: expected a primitive pair (coprime entries), such as 2,1")
     t_samples = _parse_floats(parser, "--t", args.t)
     _log_run(chi, None)
     trace = chamber_trace(
@@ -326,7 +363,9 @@ def _add_character_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--g1", required=True, help='first period, e.g. "1,0" or "3/2,-1/4"')
     sub.add_argument("--g2", required=True, help="second period, same format")
-    sub.add_argument("--D", type=int, help="square-free discriminant for --field quadratic")
+    sub.add_argument(
+        "--D", type=_radicand, help="square-free discriminant for --field quadratic"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--bound", type=int, help="truncation bound (wall-and-chamber radius)")
     sub.add_argument("--kmax", type=int, help="alias for --bound on the arithmetic kind")
-    sub.add_argument("--D", type=int, help="square-free discriminant (nonarith kind)")
+    sub.add_argument("--D", type=_radicand, help="square-free discriminant (nonarith kind)")
     sub.add_argument("--theta", help='slope as "a/b,c/d": rational part, sqrt coefficient')
     sub.add_argument("--out", default="-", help="output path, - for stdout")
     sub.set_defaults(handler=_cmd_atlas_build, command_name="atlas build")
@@ -375,9 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_character_flags(sub)
     sub.add_argument("--u", required=True, help='core direction as an integer pair, e.g. "1,0"')
     sub.add_argument("--t", default="4,8,16,32,64", help="comma-separated sample times")
-    sub.add_argument("--precision", type=float, default=1e-9)
-    sub.add_argument("--epsilon", type=float, help="wall offset (default chosen by the tracer)")
-    sub.add_argument("--horizon", type=float, help="lattice-sum truncation override")
+    sub.add_argument("--precision", type=_positive_float, default=1e-9)
+    sub.add_argument(
+        "--epsilon", type=_finite_float, help="wall offset (default chosen by the tracer)"
+    )
+    sub.add_argument("--horizon", type=_finite_float, help="lattice-sum truncation override")
     sub.add_argument("--out", default="-", help="output path, - for stdout")
     sub.set_defaults(handler=_cmd_teich_trace, command_name="teich trace")
 
@@ -385,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_character_flags(sub)
     sub.add_argument("--z", required=True, help='relative period as "re,im"')
     sub.add_argument("--guess", required=True, help='starting point of H as "re,im"')
-    sub.add_argument("--precision", type=float, default=1e-9)
+    sub.add_argument("--precision", type=_positive_float, default=1e-9)
     sub.set_defaults(handler=_cmd_teich_invert, command_name="teich invert")
 
     sub = commands.add_parser("render", help="draw a stored atlas as SVG")

@@ -43,6 +43,7 @@ from math import gcd, isqrt
 
 __all__ = [
     "IsoleafError",
+    "InvalidInput",
     "TrivialCharacter",
     "ZeroElement",
     "WrongLeafKind",
@@ -74,6 +75,14 @@ __all__ = [
 
 class IsoleafError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidInput(IsoleafError, ValueError):
+    """Raised for an argument outside the domain of a function.
+
+    It is a ``ValueError`` too, so callers that catch the built-in error
+    keep working.
+    """
 
 
 class TrivialCharacter(IsoleafError):
@@ -136,12 +145,12 @@ class GroundField:
 
     def __post_init__(self) -> None:
         if self.tag not in ("rational", "gaussian", "quadratic"):
-            raise ValueError(f"unknown ground field tag {self.tag!r}")
+            raise InvalidInput(f"unknown ground field tag {self.tag!r}")
         if self.tag == "quadratic":
             if self.D is None or self.D < 2 or not _is_square_free(self.D):
-                raise ValueError("quadratic fields need a square-free D >= 2")
+                raise InvalidInput("quadratic fields need a square-free D >= 2")
         elif self.D is not None:
-            raise ValueError(f"field {self.tag!r} takes no radicand")
+            raise InvalidInput(f"field {self.tag!r} takes no radicand")
         # the square of the adjoined symbol as a plain integer (0 for Q), as
         # element arithmetic reads it
         object.__setattr__(self, "_w2", {"rational": 0, "gaussian": -1}.get(self.tag, self.D))

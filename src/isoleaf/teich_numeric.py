@@ -12,7 +12,11 @@ computes that correspondence numerically:
 * :func:`relative_period` locates a zero of ``a + b wp`` and integrates the
   differential between the two zeros;
 * :func:`leaf_to_teich` inverts the correspondence by damped Newton
-  iteration with path continuation;
+  iteration with path continuation.  The relative period ``w(tau)`` is
+  holomorphic, so Newton takes ``dw/dtau`` from the secant of its last
+  accepted step and carries it along the path (across iterations and trace
+  grid points); it takes a central difference only when no slope is known
+  or when damping fails with the carried one;
 * :func:`chamber_trace` follows a cylinder-chamber wall inside the leaf and
   reports the normalized Teichmueller trace ``sigma(t)``, which stays within
   bounded hyperbolic distance of the model curve ``t + i log t``;
@@ -40,9 +44,8 @@ from fractions import Fraction
 from math import gcd, pi
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from isoleaf.period_algebra import (
+    InvalidInput,
     IsoleafError,
     PeriodCharacter,
     WrongLeafKind,
@@ -416,7 +419,13 @@ def _lattice_reduce(z: complex, p1: complex, p2: complex) -> tuple[complex, int,
 
 
 class _FormState:
-    """Continuation state for Newton tracking: current tau and zero branch."""
+    """Continuation state for Newton tracking.
+
+    Holds the committed point ``(tau, z0, w)`` (modulus, zero branch and
+    relative period) and ``dw``, the current estimate of ``dw/dtau``, which
+    is carried along the path (``None`` until a central difference or an
+    accepted secant step sets it).
+    """
 
     def __init__(self, p1: complex, p2: complex, precision: float):
         self.p1 = p1
@@ -424,19 +433,34 @@ class _FormState:
         self.precision = precision
         self.tau: complex | None = None
         self.z0: complex | None = None
+        self.w: complex | None = None
+        self.dw: complex | None = None
 
-    def w(self, tau: complex, update: bool = False) -> complex:
-        """Relative period at ``tau`` following the current zero branch."""
+    def eval(self, tau: complex) -> tuple[complex, complex]:
+        """``(w, z0)`` at ``tau``, following the committed zero branch."""
         a, b = solve_form(tau, self.p1, self.p2, self.precision)
         seed = self.z0
         z0 = form_zero(tau, a, b, self.precision, seed=seed)
         if seed is not None:
             z0 = _align_zero(z0, seed, tau)
-        w = 2 * a * z0 - 2 * b * _data(tau, self.precision).wzeta(z0)
-        if update:
-            self.tau = tau
-            self.z0 = z0
-        return w
+        return 2 * a * z0 - 2 * b * _data(tau, self.precision).wzeta(z0), z0
+
+    def start(self, tau: complex) -> complex:
+        """Evaluate at ``tau``, commit the point and return its ``w``."""
+        self.w, self.z0 = self.eval(tau)
+        self.tau = tau
+        return self.w
+
+    def central_difference(self, trace: list | None) -> complex:
+        """``dw/dtau`` at the committed point by a two-sided difference."""
+        tau = self.tau
+        h = 1e-6 * max(1.0, abs(tau))
+        try:
+            wp_, _ = self.eval(tau + h)
+            wm_, _ = self.eval(tau - h)
+        except (NoDoubleZeroSplit, NoConvergence) as exc:
+            raise NoConvergence(f"derivative evaluation failed: {exc}", trace)
+        return (wp_ - wm_) / (2 * h)
 
 
 def _align_zero(z0: complex, seed: complex, tau: complex) -> complex:
@@ -461,52 +485,54 @@ def _align_zero(z0: complex, seed: complex, tau: complex) -> complex:
 
 def _newton_track(
     state: _FormState,
-    tau: complex,
     target: complex,
     precision: float,
     scale: float,
     max_iter: int = 80,
     trace: list | None = None,
 ) -> complex:
-    """Damped Newton on ``tau`` for ``w(tau) = target``; returns ``tau``."""
-    w = state.w(tau, update=True)
-    res = w - target
+    """Damped Newton on ``tau`` for ``w(tau) = target`` from the committed
+    point of ``state``; returns the new committed ``tau``.
+
+    The derivative is a secant slope carried across iterations and across
+    calls along one path.  A central difference is taken only when no slope
+    is known, or when damping fails with a carried one; that retry counts as
+    an iteration.
+    """
+    res = state.w - target
     tol = precision * max(scale, abs(target))
     for _ in range(max_iter):
         if abs(res) < tol:
-            return tau
+            return state.tau
         if trace is not None:
-            trace.append((tau, abs(res)))
-        h = 1e-6 * max(1.0, abs(tau))
-        try:
-            wp_ = state.w(tau + h)
-            wm_ = state.w(tau - h)
-        except (NoDoubleZeroSplit, NoConvergence) as exc:
-            raise NoConvergence(f"derivative evaluation failed: {exc}", trace)
-        dw = (wp_ - wm_) / (2 * h)
+            trace.append((state.tau, abs(res)))
+        fresh = state.dw is None
+        if fresh:
+            state.dw = state.central_difference(trace)
+        dw = state.dw
         if abs(dw) < 1e-14:
             raise NoConvergence("vanishing derivative in Newton step", trace)
         step = -res / dw
-        accepted = False
         for _half in range(18):
-            tau_try = tau + step
+            tau_try = state.tau + step
             if tau_try.imag < 1e-7:
                 step /= 2
                 continue
             try:
-                w_try = state.w(tau_try)
+                w_try, z0_try = state.eval(tau_try)
             except (NoDoubleZeroSplit, NoConvergence):
                 step /= 2
                 continue
             if abs(w_try - target) < abs(res):
-                tau = tau_try
-                w = state.w(tau, update=True)
-                res = w - target
-                accepted = True
+                state.dw = (w_try - state.w) / (tau_try - state.tau)
+                state.tau, state.w, state.z0 = tau_try, w_try, z0_try
+                res = w_try - target
                 break
             step /= 2
-        if not accepted:
-            raise NoConvergence("Newton damping exhausted", trace)
+        else:
+            if fresh:
+                raise NoConvergence("Newton damping exhausted", trace)
+            state.dw = None
     raise NoConvergence("Newton iteration limit reached", trace)
 
 
@@ -596,7 +622,7 @@ def leaf_to_teich(
         )
     tau = complex(tau_guess)
     if not tau.imag > 0:
-        raise ValueError("tau_guess must lie in the upper half plane")
+        raise InvalidInput("tau_guess must lie in the upper half plane")
 
     a, b = solve_form(tau, p1, p2, min(precision, 1e-12))
     if abs(b) < 1e-8 * max(1.0, abs(a)):
@@ -607,11 +633,9 @@ def leaf_to_teich(
     state = _FormState(p1, p2, min(precision, 1e-12))
     trace: list = []
     try:
-        w0 = state.w(tau, update=True)
+        w0 = state.start(tau)
         target = _match_target(w0, z, p1, p2)
-        tau_out = _newton_track(
-            state, tau, target, precision, scale, max_iter, trace
-        )
+        tau_out = _newton_track(state, target, precision, scale, max_iter, trace)
         if _inversion_verified(p1, p2, z, tau_out, precision):
             return TeichPoint(tau_out)
     except (NoConvergence, NoDoubleZeroSplit):
@@ -621,12 +645,11 @@ def leaf_to_teich(
     # along a straight segment, staying on the tracked zero branch
     try:
         state = _FormState(p1, p2, min(precision, 1e-12))
-        tau_h = tau
-        w0 = state.w(tau_h, update=True)
+        w0 = state.start(tau)
         target = _match_target(w0, z, p1, p2)
-        for s in np.linspace(0.0, 1.0, 17)[1:]:
+        for k in range(1, 17):
             tau_h = _newton_track(
-                state, tau_h, w0 + s * (target - w0), precision, scale,
+                state, w0 + k / 16 * (target - w0), precision, scale,
                 max_iter, trace,
             )
         if _inversion_verified(p1, p2, z, tau_h, precision):
@@ -639,13 +662,12 @@ def leaf_to_teich(
     if seed is None:
         raise NoConvergence("Newton failed and no center continuation", trace)
     state = _FormState(p1, p2, min(precision, 1e-12))
-    tau = seed
-    w0 = state.w(tau, update=True)
+    w0 = state.start(seed)
     target0 = _match_target(w0, 0.2 * z, p1, p2)
     shift = target0 - 0.2 * z
-    for s in np.linspace(0.2, 1.0, 17):
-        target = s * z + shift
-        tau = _newton_track(state, tau, target, precision, scale, max_iter, trace)
+    for k in range(17):
+        target = (0.2 + 0.05 * k) * z + shift
+        tau = _newton_track(state, target, precision, scale, max_iter, trace)
     if not _inversion_verified(p1, p2, z, tau, precision):
         raise NoConvergence(
             "inversion landed on a distant translate of the coordinate", trace
@@ -885,7 +907,7 @@ def _raw_wall_trace(
     if tau is None:
         raise WrongLeafKind("trace requires a leaf with a flat center point")
     scale = max(1.0, abs(p1), abs(p2))
-    w0 = state.w(tau, update=True)
+    w0 = state.start(tau)
     # the fresh zero search may compute the coordinate with either global
     # sign; tracking -z visits the same moduli but mirrors the slit side,
     # so fold the sign into the requested path instead of the lift
@@ -896,7 +918,7 @@ def _raw_wall_trace(
     raw: list[tuple[float, complex]] = []
     for t, z in zip(grid, path):
         target = sign * z + shift
-        tau = _newton_track(state, tau, target, precision, scale)
+        tau = _newton_track(state, target, precision, scale)
         raw.append((float(t), tau))
     return eps, raw
 
@@ -922,10 +944,10 @@ def chamber_trace(
         raise WrongLeafKind("chamber traces are implemented for positive leaves")
     p, q = (int(u[0]), int(u[1]))
     if gcd(p, q) != 1:
-        raise ValueError("u must be a primitive lattice element")
+        raise InvalidInput("u must be a primitive lattice element")
     samples = sorted(float(t) for t in t_samples)
     if samples and samples[0] < 0:
-        raise ValueError("trace parameters must be >= 0")
+        raise InvalidInput("trace parameters must be >= 0")
     tmax = samples[-1] if samples else 1.0
     grid = _trace_grid(samples, horizon if horizon is not None else tmax)
     eps, raw = _raw_wall_trace(chi, (p, q), grid, precision, epsilon)
@@ -951,6 +973,38 @@ def trace_many(
     """Chamber traces of several classes, keyed by class."""
     us = [tuple(int(c) for c in u) for u in us]
     return {u: chamber_trace(chi, u, t_samples, precision) for u in us}
+
+
+def _least_squares(columns: Sequence[Sequence[float]], values: Sequence[float]) -> list[float]:
+    """Coefficients ``x`` minimizing ``|sum_j x_j columns[j] - values|``.
+
+    Modified Gram-Schmidt QR with ``values`` carried as an extra column, then
+    back substitution; unlike the normal equations it does not square the
+    condition number of nearly collinear columns such as ``1/t`` and
+    ``log t/t^2``.
+    """
+    n = len(columns)
+    qs: list[list[float]] = []
+    r = [[0.0] * n for _ in range(n)]
+    rhs = []
+    y = list(values)
+    for j, col in enumerate(columns):
+        v = list(col)
+        for i, qi in enumerate(qs):
+            r[i][j] = math.fsum(a * b for a, b in zip(qi, v))
+            v = [b - r[i][j] * a for a, b in zip(qi, v)]
+        r[j][j] = math.sqrt(math.fsum(b * b for b in v))
+        if r[j][j] == 0.0:
+            raise DegenerateSystem("least-squares columns are linearly dependent")
+        qj = [b / r[j][j] for b in v]
+        qs.append(qj)
+        c = math.fsum(a * b for a, b in zip(qj, y))
+        y = [b - c * a for a, b in zip(qj, y)]
+        rhs.append(c)
+    x = [0.0] * n
+    for j in reversed(range(n)):
+        x[j] = (rhs[j] - math.fsum(r[j][k] * x[k] for k in range(j + 1, n))) / r[j][j]
+    return x
 
 
 @dataclass
@@ -981,22 +1035,20 @@ def boundary_limit(
         raise WrongLeafKind("boundary limits are implemented for positive leaves")
     p, q = (int(u[0]), int(u[1]))
     if gcd(p, q) != 1:
-        raise ValueError("u must be a primitive lattice element")
+        raise InvalidInput("u must be a primitive lattice element")
     grid = _trace_grid([tmax], tmax)
     _, raw = _raw_wall_trace(chi, (p, q), grid, precision, None)
     tail = [(t, tau) for t, tau in raw if t >= max(8.0, tmax / 8)]
 
-    ts = np.array([t for t, _ in tail])
-    res = np.array([tau.real for _, tau in tail])
-    drift = np.polyfit(ts, res, 1)[0]
+    ts = [t for t, _ in tail]
+    res = [tau.real for _, tau in tail]
+    ones = [1.0] * len(ts)
+    drift = _least_squares([ones, ts], res)[1]
     if abs(drift) > 0.05:
         # Re tau grows linearly: the wall escapes to the cusp at infinity
         return BoundaryLimit(u=(p, q), estimate=math.inf, rational=None, samples=tail)
-    basis = np.column_stack(
-        [np.ones_like(ts), 1 / ts, np.log(ts) / ts**2, 1 / ts**2]
-    )
-    coeffs, *_ = np.linalg.lstsq(basis, res, rcond=None)
-    estimate = float(coeffs[0])
+    basis = [ones, [1 / t for t in ts], [math.log(t) / t**2 for t in ts], [1 / t**2 for t in ts]]
+    estimate = _least_squares(basis, res)[0]
 
     best: Fraction | None = None
     for den in range(1, abs(q) + 1):

@@ -124,6 +124,69 @@ class TestUsageErrors:
         assert "error:" in err
 
 
+SQUARE_LEAF = ["--field", "gaussian", "--g1", "1,0", "--g2", "0,1"]
+
+
+class TestTypedErrors:
+    """Inputs that once ended in a traceback: a usage error or one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "nan"],
+            ["teich", "invert", *SQUARE_LEAF, "--z", "inf,0", "--guess", "0,1"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "2,2"],
+            ["teich", "invert", *SQUARE_LEAF, "--z", "0.3,0.2", "--guess", "0,-1"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--precision", "-1"],
+            ["classify", "--field", "quadratic", "--D", "4", "--g1", "1,0", "--g2", "0,1"],
+        ],
+        ids=["t-nan", "z-inf", "u-imprimitive", "guess-below-axis", "precision-negative",
+             "D-not-square-free"],
+    )
+    def test_exits_without_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoleaf.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode in (1, 2)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "nan"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--horizon", "inf"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "2,2"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "0,0"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--precision", "0"],
+            ["teich", "invert", *SQUARE_LEAF, "--z", "inf,0", "--guess", "0,1"],
+            ["teich", "invert", *SQUARE_LEAF, "--z", "0.3,0.2", "--guess", "nan,1"],
+            ["classify", "--field", "quadratic", "--D", "4", "--g1", "1,0", "--g2", "0,1"],
+            ["classify", "--field", "quadratic", "--D", "1", "--g1", "1,0", "--g2", "0,1"],
+            ["atlas", "build", "--kind", "nonarith", "--D", "12", "--theta", "0,1",
+             "--bound", "2"],
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teich", "invert", *SQUARE_LEAF, "--z", "0.3,0.2", "--guess", "0,-1"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "-1"],
+        ],
+    )
+    def test_library_value_errors_exit_1(self, capsys, argv):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1 and out == ""
+        *log_lines, last = err.splitlines()
+        assert last.startswith("error:")
+        assert all(line.startswith("isoleaf:") for line in log_lines)
+
+
 class TestVeech:
     def test_triangular_descriptor(self, capsys):
         code, out, _ = invoke(

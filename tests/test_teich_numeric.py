@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from isoleaf.period_algebra import PeriodCharacter, WrongLeafKind
 from isoleaf.teich_numeric import (
     DegenerateSystem,
+    NoConvergence,
     NoDoubleZeroSplit,
     PoleAt,
     TeichPoint,
     WeierstrassData,
+    _FormState,
+    _least_squares,
+    _newton_track,
     boundary_limit,
     chamber_trace,
     complex_periods,
@@ -373,6 +377,39 @@ class TestLeafInversion:
         assert best < 1e-8
 
 
+class TestNewtonTrack:
+    def test_secant_slope_is_carried_and_matches_derivative(self):
+        p1, p2 = complex_periods(CHI_POS)
+        state = _FormState(p1, p2, 1e-12)
+        w0 = state.start(1.2j)
+        tau = _newton_track(state, w0 + 0.05, 1e-9, 1.0)
+        assert state.tau == tau and state.dw is not None
+        assert abs(state.central_difference(None) - state.dw) < 1e-2 * abs(state.dw)
+
+    def test_stale_slope_is_recomputed(self):
+        # a carried slope of the wrong sign cannot reduce the residual; the
+        # damping fails once, the slope is recomputed and Newton converges
+        p1, p2 = complex_periods(CHI_POS)
+        state = _FormState(p1, p2, 1e-12)
+        w0 = state.start(1.2j)
+        target = w0 + 0.05
+        state.dw = -state.central_difference(None)
+        trace = []
+        tau = _newton_track(state, target, 1e-9, 1.0, trace=trace)
+        assert abs(state.w - target) < 1e-9
+        assert trace[0][0] == trace[1][0] == 1.2j  # the retry stays at the start
+        assert tau == state.tau
+
+    def test_retry_counts_against_the_iteration_limit(self):
+        p1, p2 = complex_periods(CHI_POS)
+        state = _FormState(p1, p2, 1e-12)
+        w0 = state.start(1.2j)
+        state.dw = -state.central_difference(None)
+        with pytest.raises(NoConvergence, match="iteration limit"):
+            _newton_track(state, w0 + 0.05, 1e-9, 1.0, max_iter=1)
+        assert state.tau == 1.2j and state.dw is None
+
+
 class TestChamberTrace:
     def test_normalization_pins_origin(self):
         # chambers over the two basis directions: sigma(0) = i in the
@@ -497,6 +534,25 @@ class TestBoundaryLimit:
     def test_wrong_kind(self):
         with pytest.raises(WrongLeafKind):
             boundary_limit(CHI_ARITH, (1, 0))
+
+    @pytest.mark.parametrize("u", [(1, 1), (2, 1), (3, 2)])
+    def test_least_squares_matches_numpy(self, u):
+        # the tail fit: columns 1, 1/t, log t/t^2, 1/t^2 are nearly collinear
+        bl = boundary_limit(CHI_POS, u)
+        ts = [t for t, _ in bl.samples]
+        res = [tau.real for _, tau in bl.samples]
+        cols = [[1.0] * len(ts), [1 / t for t in ts],
+                [math.log(t) / t**2 for t in ts], [1 / t**2 for t in ts]]
+        ref, *_ = np.linalg.lstsq(np.column_stack(cols), np.array(res), rcond=None)
+        for x, y in zip(_least_squares(cols, res), ref):
+            assert abs(x - y) < 1e-9 * max(1.0, abs(y))
+        assert bl.estimate == _least_squares(cols, res)[0]
+        slope = _least_squares([cols[0], ts], res)[1]
+        assert abs(slope - np.polyfit(ts, res, 1)[0]) < 1e-12
+
+    def test_least_squares_rejects_dependent_columns(self):
+        with pytest.raises(DegenerateSystem):
+            _least_squares([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 0.0, 1.0])
 
 
 class TestHyperbolic:
