@@ -19,6 +19,10 @@ Combinatorial commands take exact coordinates ("num/den" pairs); the
 ``teich`` commands take floating input with an explicit ``--precision``.
 Every run logs the normalized character and the truncation bound in use to
 stderr.  Usage errors exit with status 2, failed checks with status 1.
+``--stats PATH`` (or the ``ISOLEAF_STATS`` environment variable) writes one
+JSON record of the run to PATH: the command and its flags, the normalized
+character and bound, per-stage durations, counts and results (see
+`isoleaf.stats`).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import io
 import json
 import logging
 import math
+import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -54,11 +58,12 @@ from .period_algebra import (
     normalize,
     volume,
 )
+from . import stats
 from .render import render_atlas
 from .teich_numeric import chamber_trace, leaf_to_teich, model_point
-from .veech import ConjSL2Z, QuadraticV, TriangularV, veech_group
+from .veech import ConjSL2Z, QuadraticV, TriangularV, fundamental_unit, veech_group
 
-__all__ = ["Command", "main", "run"]
+__all__ = ["main", "run"]
 
 log = logging.getLogger("isoleaf.cli")
 
@@ -68,14 +73,6 @@ _KIND_LABEL = {
     "arith_real": "ArithmeticReal",
     "nonarith_real": "NonArithmeticReal",
 }
-
-
-@dataclass(frozen=True)
-class Command:
-    """A dispatched subcommand together with its validated flag record."""
-
-    name: str
-    flags: dict
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +166,10 @@ def _chi_text(chi: PeriodCharacter) -> str:
 def _log_run(chi: PeriodCharacter, bound) -> None:
     """One line per run: the normalized character and the truncation bound."""
     norm = normalize(chi)
+    stats.record("character", _chi_text(chi))
+    stats.record("normal_form", _chi_text(norm.character))
+    stats.record("kind", norm.kind.kind)
+    stats.record("bound", bound)
     log.info(
         "character %s; normal form %s [%s]; truncation bound %s",
         _chi_text(chi),
@@ -192,12 +193,22 @@ def _load_atlas(parser: argparse.ArgumentParser, path: str) -> Atlas:
         parser.error(f"atlas file not found: {path}")
     except json.JSONDecodeError as exc:
         parser.error(f"atlas file is not valid JSON: {path}: {exc}")
-    return atlas_from_json_dict(data)
+    with stats.span("load"):
+        atlas = atlas_from_json_dict(data)
+    _count_atlas(atlas)
+    return atlas
+
+
+def _count_atlas(atlas: Atlas) -> None:
+    stats.count("chambers", len(atlas.chambers))
+    stats.count("gluings", len(atlas.gluings))
+    stats.count("stars", len(atlas.singularities))
 
 
 def _dump_atlas(atlas: Atlas) -> str:
     """Canonical JSON text for an atlas (sorted keys, stable indentation)."""
-    return json.dumps(atlas_to_json_dict(atlas), sort_keys=True, indent=2) + "\n"
+    with stats.span("dump"):
+        return json.dumps(atlas_to_json_dict(atlas), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +217,8 @@ def _dump_atlas(atlas: Atlas) -> str:
 
 def _cmd_classify(parser, args) -> int:
     chi = _character(parser, args)
-    kind = classify(chi)
+    with stats.span("classify"):
+        kind = classify(chi)
     _log_run(chi, None)
     line = f"{_KIND_LABEL[kind.kind]}, Vol={volume(chi)}"
     if kind.generator is not None:
@@ -221,13 +233,7 @@ def _cmd_atlas_build(parser, args) -> int:
     bound = args.kmax if args.kmax is not None else args.bound
     if bound is None:
         parser.error("atlas build requires --bound (or --kmax for the arithmetic kind)")
-    if args.kind == "positive":
-        atlas = build_positive(bound)
-    elif args.kind == "negative":
-        atlas = build_negative(bound)
-    elif args.kind == "arithmetic":
-        atlas = build_arithmetic(bound)
-    else:  # nonarith
+    if args.kind == "nonarith":
         if args.D is None:
             parser.error("atlas build --kind nonarith requires --D")
         if args.theta is None:
@@ -235,8 +241,17 @@ def _cmd_atlas_build(parser, args) -> int:
         coeffs = _parse_fractions(parser, "--theta", args.theta)
         if len(coeffs) != 2:
             parser.error("--theta takes two coordinates: rational part, sqrt coefficient")
-        field = GroundField.quadratic(args.D)
-        atlas = build_nonarith(field.element(*coeffs), bound)
+        theta = GroundField.quadratic(args.D).element(*coeffs)
+    with stats.span("build"):
+        if args.kind == "positive":
+            atlas = build_positive(bound)
+        elif args.kind == "negative":
+            atlas = build_negative(bound)
+        elif args.kind == "arithmetic":
+            atlas = build_arithmetic(bound)
+        else:
+            atlas = build_nonarith(theta, bound)
+    _count_atlas(atlas)
     _log_run(atlas.character, atlas.bound)
     _write_text(args.out, _dump_atlas(atlas))
     return 0
@@ -245,7 +260,8 @@ def _cmd_atlas_build(parser, args) -> int:
 def _cmd_atlas_check(parser, args) -> int:
     atlas = _load_atlas(parser, args.atlas)
     _log_run(atlas.character, atlas.bound)
-    report = check_atlas(atlas, samples_per_gluing=args.samples)
+    with stats.span("check"):
+        report = check_atlas(atlas, samples_per_gluing=args.samples)
     for name, ok in report.checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
     if report.passed:
@@ -258,11 +274,12 @@ def _cmd_atlas_check(parser, args) -> int:
 def _cmd_atlas_stats(parser, args) -> int:
     atlas = _load_atlas(parser, args.atlas)
     _log_run(atlas.character, atlas.bound)
-    data = atlas_to_json_dict(atlas)
+    with stats.span("dump"):
+        data = atlas_to_json_dict(atlas)
     by_type: dict = {}
     for chamber in data["chambers"]:
         by_type[chamber["type"]] = by_type.get(chamber["type"], 0) + 1
-    stats = {
+    summary = {
         "schema": data["schema"],
         "kind": atlas.kind,
         "character": data["character"],
@@ -273,7 +290,7 @@ def _cmd_atlas_stats(parser, args) -> int:
         "truncated": len(atlas.truncated),
         "singularities": len(atlas.singularities),
     }
-    print(json.dumps(stats, sort_keys=True, indent=2))
+    print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
 
@@ -294,18 +311,39 @@ def _veech_descriptor_dict(group) -> dict:
     raise IsoleafError(f"unknown Veech descriptor {group!r}")
 
 
+def _check_printable(group: QuadraticV) -> None:
+    """Raise unless the generator prints within the int-to-str limit.
+
+    The larger coordinate of ``eps^k = a + b gamma`` lies between
+    ``eps^k / (1 + gamma)`` and ``2 eps^k``, so ``k log10 eps`` decides the
+    digit count unless it is within a few digits of the limit; only then
+    is ``eps^k`` expanded.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    a, b = fundamental_unit(group.D)
+    gamma = (1 + math.sqrt(group.D)) / 2 if group.D % 4 == 1 else math.sqrt(group.D)
+    digits = group.exponent * (math.log10(b) + math.log10(a / b + gamma))
+    if digits < limit - 1:
+        return
+    if digits - math.log10(1 + gamma) <= limit + 1 and all(
+        abs(x) < 10**limit for x in group.generator
+    ):
+        return
+    raise IsoleafError(
+        f"the generator eps^{group.exponent} over D = {group.D} has more than "
+        f"{limit} decimal digits, past the int-to-str limit"
+    )
+
+
 def _cmd_veech(parser, args) -> int:
     chi = _character(parser, args)
     _log_run(chi, None)
-    group = veech_group(chi)
-    limit = sys.get_int_max_str_digits()
-    if isinstance(group, QuadraticV) and limit and any(
-        abs(x) >= 10**limit for x in group.generator
-    ):
-        raise IsoleafError(
-            f"the generator eps^{group.exponent} over D = {group.D} has more than "
-            f"{limit} decimal digits, past the int-to-str limit"
-        )
+    with stats.span("veech"):
+        group = veech_group(chi)
+    if isinstance(group, QuadraticV):
+        _check_printable(group)
     print(json.dumps(_veech_descriptor_dict(group), sort_keys=True, indent=2))
     return 0
 
@@ -317,9 +355,11 @@ def _cmd_teich_trace(parser, args) -> int:
         parser.error("--u: expected a primitive pair (coprime entries), such as 2,1")
     t_samples = _parse_floats(parser, "--t", args.t)
     _log_run(chi, None)
-    trace = chamber_trace(
-        chi, u, t_samples, precision=args.precision, epsilon=args.epsilon, horizon=args.horizon
-    )
+    with stats.span("trace"):
+        trace = chamber_trace(
+            chi, u, t_samples, precision=args.precision, epsilon=args.epsilon,
+            horizon=args.horizon,
+        )
     distances = dict(trace.distances())
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -340,7 +380,8 @@ def _cmd_teich_invert(parser, args) -> int:
     if len(z) != 2 or len(guess) != 2:
         parser.error("--z and --guess take two coordinates: re,im")
     _log_run(chi, None)
-    point = leaf_to_teich(chi, complex(*z), complex(*guess), precision=args.precision)
+    with stats.span("invert"):
+        point = leaf_to_teich(chi, complex(*z), complex(*guess), precision=args.precision)
     print(json.dumps({"tau_re": point.tau.real, "tau_im": point.tau.imag}, sort_keys=True))
     return 0
 
@@ -348,7 +389,9 @@ def _cmd_teich_invert(parser, args) -> int:
 def _cmd_render(parser, args) -> int:
     atlas = _load_atlas(parser, args.atlas)
     _log_run(atlas.character, atlas.bound)
-    _write_text(args.out, render_atlas(atlas))
+    with stats.span("render"):
+        svg = render_atlas(atlas)
+    _write_text(args.out, svg)
     return 0
 
 
@@ -373,6 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isoleaf",
         description="Isoperiodic leaves of genus-one forms with a double pole: "
         "classification, chamber atlases, Veech groups, traces, figures.",
+    )
+    parser.add_argument(
+        "--stats", metavar="PATH",
+        help="write a JSON record of the run to PATH (default: $ISOLEAF_STATS, else none)",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -446,22 +493,42 @@ def _configure_logging() -> None:
     log.propagate = False
 
 
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    handler: Callable = args.handler
+    try:
+        return handler(parser, args)
+    except (IsoleafError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and dispatch.  Returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging()
-    command = Command(
-        name=args.command_name,
-        flags={k: v for k, v in vars(args).items() if k not in ("handler", "command_name")},
-    )
-    handler: Callable = args.handler
-    log.debug("dispatch %s", command.name)
+    path = args.stats or os.environ.get("ISOLEAF_STATS")
+    if not path:
+        return _dispatch(parser, args)
+    flags = {k: v for k, v in vars(args).items() if k not in ("handler", "command_name", "stats")}
+    record: dict = {}
     try:
-        return handler(parser, args)
-    except IsoleafError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with stats.collect(command=args.command_name, flags=flags) as record:
+            try:
+                record["exit"] = _dispatch(parser, args)
+            except SystemExit as exc:  # a usage error found by the handler
+                record["exit"] = exc.code
+                raise
+    finally:
+        try:
+            Path(path).write_text(
+                json.dumps(record, sort_keys=True, indent=2, default=str) + "\n",
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            print(f"error: cannot write the stats record: {exc}", file=sys.stderr)
+            record["exit"] = 1
+    return record["exit"]
 
 
 def main() -> int:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from isoleaf import stats
 from isoleaf.period_algebra import (
     CharacteristicTriple,
     FieldElement,
@@ -36,6 +37,7 @@ from isoleaf.period_algebra import (
     LatticeElement,
     PeriodCharacter,
     WrongLeafKind,
+    classify,
     pm_representative,
     symplectic_partner,
 )
@@ -1260,7 +1262,8 @@ def check_atlas(atlas: Atlas, samples_per_gluing: int = 3) -> CheckReport:
 
     def run(name, fn):
         try:
-            bad = fn()
+            with stats.span(f"check.{name}"):
+                bad = fn()
         except Exception as e:  # a crash is a failure with its message
             bad = [{"error": repr(e)}]
         checks.append((name, not bad))
@@ -1342,7 +1345,9 @@ def _check_phi_count(atlas: Atlas):
     for c in atlas.chambers:
         counts.setdefault((c.k, c.sign), 0)
         counts[(c.k, c.sign)] += 1
-    for k in range(1, atlas.bound + 1):
+    # past the largest stored k every count is 0; report the first such k only
+    kmax = max((k for k, _ in counts), default=0)
+    for k in range(1, min(atlas.bound, kmax + 1) + 1):
         for sign in (+1, -1):
             if counts.get((k, sign), 0) != phi(k):
                 bad.append(
@@ -1412,14 +1417,23 @@ def _part_json(part):
     return out
 
 
-def _part_from_json(data):
-    out = []
-    for x in data:
-        if isinstance(x, dict):
-            out.append(LatticeElement(int(x["lat"][0]), int(x["lat"][1])))
-        else:
-            out.append(x)
-    return tuple(out)
+# the boundary part each chamber type has: ("slit", gamma, "L" | "R") on the
+# torus, ("line",) on cylinders, ("side", 1 | 2 | 3) on degenerate chambers
+_PART_TAG = {TorusChamber: "slit", CylChamber: "line", CylArithChamber: "line",
+             DegChamber: "side"}
+
+
+def _part_from_json(data, chamber):
+    tag = _PART_TAG[type(chamber)]
+    if data == ["line"] and tag == "line":
+        return ("line",)
+    if tag == "side" and data in (["side", 1], ["side", 2], ["side", 3]):
+        return ("side", int(data[1]))
+    if tag == "slit" and isinstance(data, list) and len(data) == 3 and data[0] == "slit":
+        if data[2] in ("L", "R") and isinstance(data[1], dict):
+            lat = data[1]["lat"]
+            return ("slit", LatticeElement(int(lat[0]), int(lat[1])), data[2])
+    raise ValueError(f"{data!r} is not a boundary part of a {tag} chamber")
 
 
 def _seg_json(seg: BoundarySegment):
@@ -1432,9 +1446,10 @@ def _seg_json(seg: BoundarySegment):
 
 
 def _seg_from_json(d, fld: GroundField):
+    chamber = _chamber_from_json(d["chamber"])
     return BoundarySegment(
-        _chamber_from_json(d["chamber"]),
-        _part_from_json(d["part"]),
+        chamber,
+        _part_from_json(d["part"], chamber),
         None if d["lo"] is None else FieldElement.from_json(fld, d["lo"]),
         None if d["hi"] is None else FieldElement.from_json(fld, d["hi"]),
     )
@@ -1506,6 +1521,8 @@ def atlas_from_json_dict(data: dict) -> Atlas:
         kind = data["kind"]
         if kind not in _KINDS:
             raise IsoleafError(f"unknown atlas kind {kind!r}")
+        if classify(chi).kind != kind:
+            raise IsoleafError(f"the character of a {kind} atlas is {classify(chi).kind}")
         fld = chi.field if kind == "nonarith_real" else GroundField.rational()
         chambers = [_chamber_from_json(c) for c in data["chambers"]]
         gluings = [

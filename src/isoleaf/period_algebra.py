@@ -109,15 +109,112 @@ class FieldMismatch(IsoleafError):
 # ground fields and their elements
 
 
-def _is_square_free(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
+def _primes_below(n: int) -> tuple:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i in range(n) if sieve[i])
+
+
+_SMALL_PRIMES = _primes_below(1000)
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, 2015)
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for an odd n > 1 free of the bases; proof below `_MR_LIMIT`.
+
+    Raises
+    ------
+    InvalidInput
+        If n passes every base but lies above `_MR_LIMIT`, where passing
+        proves nothing.
+    """
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 2
+    if n >= _MR_LIMIT:
+        raise InvalidInput(f"cannot prove {n} prime: it is above 3.3e24")
     return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n (Pollard 1975, in Brent's form)."""
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one value at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
+
+
+def _factor(n: int) -> dict:
+    """Prime factorization ``{p: e}`` of an integer n >= 1.
+
+    Trial division by the primes below 1000, then Miller-Rabin and
+    Pollard-Brent rho on what is left.  Every prime returned is proved
+    prime.  The time grows with the second-largest prime factor, so a
+    product of two large primes is as hard as factoring it.
+
+    Raises
+    ------
+    InvalidInput
+        If a factor above 3.3e24 passes Miller-Rabin and so cannot be
+        proved prime.
+    """
+    out: dict = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        f = stack.pop()
+        # no prime below 1000 divides f, so f < 1000^2 is prime
+        if f < 10**6 or _is_prime(f):
+            out[f] = out.get(f, 0) + 1
+        else:
+            d = _rho(f)
+            stack += [d, f // d]
+    return dict(sorted(out.items()))
+
+
+def _is_square_free(n: int) -> bool:
+    return all(e == 1 for e in _factor(n).values())
 
 
 _FIELDS: dict = {}  # the shared GroundField instance of each (tag, D)

@@ -44,6 +44,7 @@ from fractions import Fraction
 from math import gcd, pi
 from typing import Callable, Iterable, Sequence
 
+from isoleaf import stats
 from isoleaf.period_algebra import (
     InvalidInput,
     IsoleafError,
@@ -179,7 +180,13 @@ class WeierstrassData:
 
         e2_sum = sum((k + 1) * Q[k] for k in range(K))
         self._eta1_r = (pi * pi / 3) * (1 - 24 * e2_sum)
-        self._eta2_r = 2 * self._zeta_reduced(tau_r / 2)
+        try:
+            self._eta2_r = 2 * self._zeta_reduced(tau_r / 2)
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidInput(
+                f"tau={tau!r} is too close to the real axis for double precision "
+                f"(reduced Im tau = {tau_r.imag:.3g})"
+            ) from None
         legendre = self._eta1_r * tau_r - self._eta2_r
         if abs(legendre - TWO_PI_I) > max(1e-9, 1e4 * self.precision):
             raise IsoleafError(
@@ -637,6 +644,7 @@ def leaf_to_teich(
         target = _match_target(w0, z, p1, p2)
         tau_out = _newton_track(state, target, precision, scale, max_iter, trace)
         if _inversion_verified(p1, p2, z, tau_out, precision):
+            stats.record("invert", {"strategy": "newton", "newton_iterations": len(trace)})
             return TeichPoint(tau_out)
     except (NoConvergence, NoDoubleZeroSplit):
         pass
@@ -653,6 +661,7 @@ def leaf_to_teich(
                 max_iter, trace,
             )
         if _inversion_verified(p1, p2, z, tau_h, precision):
+            stats.record("invert", {"strategy": "homotopy", "newton_iterations": len(trace)})
             return TeichPoint(tau_h)
     except (NoConvergence, NoDoubleZeroSplit):
         pass
@@ -672,6 +681,7 @@ def leaf_to_teich(
         raise NoConvergence(
             "inversion landed on a distant translate of the coordinate", trace
         )
+    stats.record("invert", {"strategy": "continuation", "newton_iterations": len(trace)})
     return TeichPoint(tau)
 
 

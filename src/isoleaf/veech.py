@@ -15,24 +15,37 @@ the unit group adds hyperbolic elements: multiplication by a power
 For a quadratic irrational θ some power of ε always preserves the module
 ``Z + θ Z``: its multiplier ring is an order of Q(sqrt D), whose norm-one
 units form an infinite group.  The descriptor records the smallest such
-``k`` with its generator.  All three conditions depend only on ``ε^k``
-modulo ``M = |t·m·N(l+mγ)|`` (plus the sign of the norm, which
-alternates), so searching one full residue cycle of ``ε`` modulo ``M``
-finds that ``k`` exactly.
+``k``; its generator ``ε^k`` is expanded only when it is read.
+
+The last two conditions say ``β ≡ 0 (mod M')`` with
+``M' = |m t| / gcd(t, N(l + m γ))``, that is, ``ε^k`` is rational modulo
+``M'``.  The exponents that meet it, and the norm condition, form a
+subgroup ``kZ``, so ``k`` is a group order (Cohen, GTM 138, ch. 5).  For
+each prime power ``p^e`` exactly dividing ``M'`` the order of ε in
+``(O/p^e O)^× / (Z/p^e Z)^×`` divides ``p^(e-1) (p - (d_K|p))``, with
+``d_K`` the field discriminant; the least common multiple of these,
+doubled when ``N(ε) = -1`` and it is odd, is a multiple of ``k``.
+`quadratic_group_search` factors ``M'`` (Pollard 1975), takes that bound
+and strips each prime ``q`` while ``ε^(k/q)``, powered modulo ``M'``, still
+qualifies.  Its certificate holds ``M'``, its factorization, the bound and
+the failing residue of ``ε^(k/q)`` for each prime ``q`` dividing ``k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
+from isoleaf import stats
 from isoleaf.period_algebra import (
     FieldElement,
     GroundField,
     IsoleafError,
     LeafKind,
     PeriodCharacter,
+    _factor,
     _is_square_free,
     classify,
     normalize,
@@ -95,14 +108,18 @@ class QuadraticV:
     """Triangular group extended by the hyperbolic generator ε^k.
 
     ``generator = (α, β)`` are the coordinates of ``ε^k = α + β γ`` in
-    the ring basis; ``matrix`` is its action on the period module basis
-    ``(t, l + m γ)``, an integral matrix of determinant one.
+    the ring basis, computed on first read (they have about
+    ``k log10 ε`` digits); ``matrix`` is its action on the period module
+    basis ``(t, l + m γ)``, an integral matrix of determinant one.
     """
 
     D: int
     tau: tuple
-    generator: tuple
     exponent: int
+
+    @cached_property
+    def generator(self) -> tuple:
+        return unit_power(self.D, fundamental_unit(self.D), self.exponent)
 
     @property
     def matrix(self) -> tuple:
@@ -161,13 +178,21 @@ def _ring_mul(D: int, u: tuple, v: tuple, mod: int | None = None) -> tuple:
 
 def unit_power(D: int, u: tuple, k: int) -> tuple:
     """Exact k-th power of alpha + beta*gamma (k >= 0)."""
-    out = (1, 0)
-    base = u
+    return _power(D, u, k)
+
+
+def _power(D: int, u: tuple, k: int, mod: int | None = None) -> tuple:
+    """k-th power by binary powering, reduced modulo ``mod`` when given."""
+    if mod is None:
+        out, base = (1, 0), u
+    else:
+        out, base = (1 % mod, 0), (u[0] % mod, u[1] % mod)
     while k:
         if k & 1:
-            out = _ring_mul(D, out, base)
-        base = _ring_mul(D, base, base)
+            out = _ring_mul(D, out, base, mod)
         k >>= 1
+        if k:  # the square past the top bit would be the largest and unused
+            base = _ring_mul(D, base, base, mod)
     return out
 
 
@@ -242,57 +267,90 @@ def _check_triple(t: int, l: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class QuadraticSearch:
-    """Result of one residue-cycle search, with its certificate.
+    """The least stabilizing exponent with its certificate.
 
-    For a quadratic irrational θ some power of the fundamental unit always
-    preserves the module, and it is found within one residue cycle of ε
-    modulo M: ``ε^k ≡ 1 (mod M)`` with norm one meets all three conditions.
-    ``cycle`` lists the residues of ε^1, ..., ε^exponent, which certifies
-    that no smaller power qualifies.
+    The exponents k with ``ε^k`` rational modulo ``modulus`` (that is
+    ``M' = |m t| / gcd(t, N(l + m γ))``) and of norm one form a subgroup
+    ``exponent · Z``.  ``bound`` is a multiple of ``exponent`` from the
+    group orders of the prime powers in ``factors``; ``witnesses`` holds,
+    for each prime q dividing ``exponent``, the pair
+    ``(q, ε^(exponent/q) mod M')`` whose residue is not rational or whose
+    norm is -1.  That proves ``exponent`` least in polylog time.  The
+    generator ``ε^exponent`` is computed on first read; ``cycle`` is
+    empty because no residue cycle is walked.
     """
 
     D: int
     tau: tuple
+    unit: tuple
     exponent: int
-    generator: tuple
     modulus: int
-    cycle: tuple
+    factors: tuple
+    bound: int
+    witnesses: tuple
+
+    @cached_property
+    def generator(self) -> tuple:
+        return unit_power(self.D, self.unit, self.exponent)
+
+    @property
+    def cycle(self) -> tuple:
+        return ()
+
+
+def _kronecker(D: int, p: int) -> int:
+    """(d_K | p) for the discriminant d_K of Q(sqrt D): D or 4D."""
+    if p == 2:
+        return 0 if D % 4 != 1 else (1 if D % 8 == 1 else -1)
+    if D % p == 0:
+        return 0
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
 
 
 def quadratic_group_search(D: int, t: int, l: int, m: int) -> QuadraticSearch:
-    """Search the residue cycle of the fundamental unit for the module group."""
+    """The least k with ε^k preserving t Z + (l + m γ) Z, from group orders."""
     _check_D(D)
     _check_triple(t, l, m)
     eps = fundamental_unit(D)
     n_eps = unit_norm(D, eps)
     NL = unit_norm(D, (l, m))
-    M = abs(t * m * NL)
-    cur = (1 % M, 0)
-    cycle = []
-    # the search returns within one full multiplicative cycle of eps mod M,
-    # where eps^j = 1 with norm one meets every condition; two cycles cover
-    # the norm-sign parity when N(eps) = -1
-    limit = 2 * max(M * M, 1) + 2
-    for j in range(1, limit + 1):
-        cur = _ring_mul(D, cur, eps, mod=M)
-        cycle.append(cur)
-        # the conditions factor through beta mod M: |m| divides M, and
-        # changing beta by a multiple of M changes (beta/m)*NL by a
-        # multiple of t*NL^2
-        norm_ok = n_eps == 1 or j % 2 == 0
-        if norm_ok and cur[1] % abs(m) == 0:
-            q = cur[1] // abs(m)
-            if (q * NL) % abs(t) == 0:
-                return QuadraticSearch(
-                    D=D,
-                    tau=(t, l, m),
-                    exponent=j,
-                    generator=unit_power(D, eps, j),
-                    modulus=M,
-                    cycle=tuple(cycle),
-                )
-    raise IsoleafError(
-        f"no power of the unit up to {limit} preserves (t, l, m) = {(t, l, m)} over D = {D}"
+    t1 = abs(t) // gcd(t, NL)
+    M = abs(m) * t1
+    factors = _factor(abs(m))
+    for p, e in _factor(t1).items():
+        factors[p] = factors.get(p, 0) + e
+    bound = 1
+    primes = set()  # the primes of the bound, from its parts
+    for p, e in factors.items():
+        order = p - _kronecker(D, p)
+        bound = lcm(bound, p ** (e - 1) * order)
+        primes.update(_factor(order))
+        if e > 1:
+            primes.add(p)
+    if n_eps == -1 and bound % 2:
+        bound *= 2
+        primes.add(2)
+
+    def qualifies(j: int) -> bool:
+        return (n_eps == 1 or j % 2 == 0) and _power(D, eps, j, M)[1] == 0
+
+    if not qualifies(bound):
+        raise IsoleafError(f"the group-order bound {bound} fails for {(t, l, m)} over D = {D}")
+    k = bound
+    for q in sorted(primes):
+        while k % q == 0 and qualifies(k // q):
+            k //= q
+    witnesses = tuple((q, _power(D, eps, k // q, M)) for q in sorted(primes) if k % q == 0)
+    stats.record("veech", {"modulus": M, "bound": bound, "exponent": k})
+    return QuadraticSearch(
+        D=D,
+        tau=(t, l, m),
+        unit=eps,
+        exponent=k,
+        modulus=M,
+        factors=tuple(sorted(factors.items())),
+        bound=bound,
+        witnesses=witnesses,
     )
 
 
@@ -376,8 +434,7 @@ def veech_group(chi: PeriodCharacter):
     theta = normalize(chi).character.g2
     tau = module_triple(theta)
     D = theta.field.D
-    found = quadratic_group_search(D, *tau)
-    return QuadraticV(D=D, tau=tau, generator=found.generator, exponent=found.exponent)
+    return QuadraticV(D=D, tau=tau, exponent=quadratic_group_search(D, *tau).exponent)
 
 
 def _mat_mul(A, B):

@@ -177,7 +177,7 @@ def brute_stabilizer(D, unit, tau, height=10**6):
 
     Returns ``(k, (a, b))`` for the smallest power ``a + b sqrt D`` that has
     norm one and preserves the module ``t Z + (l + m sqrt D) Z``, or None.
-    Written independently of the library's residue-cycle search; only
+    Written independently of the library's group-order search; only
     ``D % 4 != 1`` (ring basis ``1, sqrt D``) is handled.
     """
     t, l, m = tau
@@ -229,26 +229,30 @@ def test_criterion_05_veech_descriptors():
             "chi=(1,sqrt2)",
             PeriodCharacter.quadratic(2, (1, 0), (0, 1)),
             (1, 1),
-            QuadraticV(D=2, tau=(1, 0, 1), generator=(3, 2), exponent=2),
+            QuadraticV(D=2, tau=(1, 0, 1), exponent=2),
+            (3, 2),
             ((3, 4), (2, 3)),
         ),
         (
             "D=m=3 family chi=(1,3sqrt3)",
             PeriodCharacter.quadratic(3, (1, 0), (0, 3)),
             (2, 1),
-            QuadraticV(D=3, tau=(1, 0, 3), generator=(26, 15), exponent=3),
+            QuadraticV(D=3, tau=(1, 0, 3), exponent=3),
+            (26, 15),
             ((26, 135), (5, 26)),
         ),
     )
-    for label, chi, unit, expected, matrix in families:
+    for label, chi, unit, expected, generator, matrix in families:
         got = veech_group(chi)
         if got != expected:
             failures.append(f"{label} gave {got}, expected {expected}")
             continue
+        if got.generator != generator:
+            failures.append(f"{label}: generator {got.generator}, expected {generator}")
         if got.matrix != matrix:
             failures.append(f"{label}: module matrix {got.matrix}, expected {matrix}")
         brute = brute_stabilizer(expected.D, unit, expected.tau)
-        want = (expected.exponent, expected.generator)
+        want = (expected.exponent, generator)
         if brute != want:
             failures.append(f"{label}: brute-force walk found {brute}, expected {want}")
             continue

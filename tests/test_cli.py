@@ -6,13 +6,17 @@ import json
 import math
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
 from isoleaf import cli
 from isoleaf.leaf_atlas import atlas_from_json_dict
+from isoleaf.period_algebra import PeriodCharacter
 from isoleaf.teich_numeric import hyperbolic_distance, model_point
+from isoleaf.veech import veech_group
 
 
 def invoke(capsys, argv):
@@ -177,6 +181,9 @@ class TestTypedErrors:
         [
             ["teich", "invert", *SQUARE_LEAF, "--z", "0.3,0.2", "--guess", "0,-1"],
             ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "-1"],
+            # the reduced modulus is 8.4e6 i, past the double-precision series
+            ["teich", "invert", *SQUARE_LEAF, "--z", "0.3,0.2", "--guess", "0,1.2e-7"],
+            ["atlas", "build", "--kind", "positive", "--bound", "2", "--out", "no/such/dir.json"],
         ],
     )
     def test_library_value_errors_exit_1(self, capsys, argv):
@@ -229,6 +236,50 @@ class TestVeech:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and err.strip().splitlines()[-1] == errors[0]
         assert "D = 2" in errors[0] and "eps^100004" in errors[0]
+
+    def test_generator_past_limit_is_not_expanded(self, capsys):
+        # eps^1000004 would have about 383,000 digits; the digit count is
+        # bounded from k log10 eps, so the command answers at once
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys,
+            ["veech", "--field", "quadratic", "--D", "2", "--g1=1,0", "--g2=0,1/1000003"],
+        )
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and out == ""
+        assert err.strip().splitlines()[-1].startswith("error: the generator eps^1000004 ")
+
+    @pytest.mark.parametrize("limit, code", [(667, 0), (666, 1)])
+    def test_generator_near_limit_is_expanded(self, capsys, limit, code):
+        # eps^1742 over D = 2 has 667 digits: within the margin of the
+        # k log10 eps estimate, so the exact generator decides
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            got, out, err = invoke(
+                capsys,
+                ["veech", "--field", "quadratic", "--D", "2", "--g1=1,0", "--g2=0,1/1741"],
+            )
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["exponent"] == 1742
+        else:
+            assert out == "" and "eps^1742 over D = 2 has more than 666" in err
+
+    @pytest.mark.parametrize("denominator", [3, 97, 1009, 4999])
+    def test_printed_generator_matches_descriptor(self, capsys, denominator):
+        chi = PeriodCharacter.quadratic(2, (1, 0), (0, Fraction(1, denominator)))
+        want = veech_group(chi)
+        code, out, _ = invoke(
+            capsys,
+            ["veech", "--field", "quadratic", "--D", "2", "--g1=1,0", f"--g2=0,1/{denominator}"],
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["exponent"] == want.exponent
+        assert data["generator"] == list(want.generator)
 
 
 class TestAtlasCommands:
@@ -305,7 +356,8 @@ class TestAtlasCommands:
 
     @pytest.mark.parametrize(
         "case",
-        ["schema-only", "list", "zero-denominator", "two-coordinates-over-Q", "non-integer"],
+        ["schema-only", "list", "zero-denominator", "two-coordinates-over-Q", "non-integer",
+         "part-of-another-chamber", "unknown-part", "character-of-another-kind"],
     )
     def test_malformed_atlas_exits_1_in_one_line(self, capsys, tmp_path, case):
         path = tmp_path / "arith.json"
@@ -323,6 +375,13 @@ class TestAtlasCommands:
             doc["gluings"][0]["c"] = [["1", "0"]]
         elif case == "two-coordinates-over-Q":
             doc["gluings"][0]["c"] = [["1", "2"], ["3", "4"]]
+        elif case == "part-of-another-chamber":
+            doc["gluings"][0]["a"]["part"] = ["side", 1]
+        elif case == "unknown-part":
+            doc["gluings"][0]["b"]["part"] = ["line", 1.5]
+        elif case == "character-of-another-kind":
+            doc["character"] = {"field": "gaussian", "g1": [["1", "1"], ["0", "1"]],
+                                "g2": [["0", "1"], ["1", "1"]]}
         else:
             doc["gluings"][0]["c"] = [["x", "2"]]
         path.write_text(json.dumps(doc))
@@ -330,6 +389,20 @@ class TestAtlasCommands:
         assert code == 1
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+    def test_huge_stored_bound_fails_check_at_once(self, capsys, tmp_path):
+        # the phi-count check stops at the first k past the stored chambers
+        path = tmp_path / "arith.json"
+        invoke(capsys, ["atlas", "build", "--kind", "arithmetic", "--kmax", "2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["bound"] = str(10**30)
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, ["atlas", "check", str(path)])
+        assert time.perf_counter() - start < 2
+        assert code == 1 and "FAIL phi-count" in out
+        report = json.loads(out.splitlines()[-1])
+        assert {(c["k"], c["sign"]) for c in report["counterexamples"]} == {(3, 1), (3, -1)}
 
     @pytest.mark.parametrize(
         "argv",
@@ -461,9 +534,3 @@ class TestEntryPoints:
         )
         assert proc.returncode == 2
 
-    def test_command_record(self, capsys):
-        assert cli.run(["classify", "--g1", "1,0", "--g2", "0,1", "--field", "gaussian"]) == 0
-        capsys.readouterr()
-        cmd = cli.Command(name="classify", flags={"field": "gaussian"})
-        assert cmd.name == "classify"
-        assert cmd.flags["field"] == "gaussian"

@@ -1,9 +1,11 @@
 """Exact-arithmetic core: fields, characters, classification, triples."""
 
+import time
 from fractions import Fraction
 from math import gcd, floor
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from isoleaf.period_algebra import (
     FieldElement,
     FieldMismatch,
     GroundField,
+    InvalidInput,
     LatticeElement,
     NotSymplectic,
     PeriodCharacter,
@@ -29,6 +32,61 @@ from isoleaf.period_algebra import (
     symplectic_partner,
     volume,
 )
+from isoleaf.period_algebra import _factor, _is_square_free
+
+# ---------------------------------------------------------------------------
+# factoring and square-freeness
+
+
+def trial_division_square_free(n):
+    """The trial-division test the library used before (n >= 2)."""
+    if n % 4 == 0:
+        return False
+    p = 3
+    while p * p <= n:
+        if n % (p * p) == 0:
+            return False
+        p += 2
+    return True
+
+
+class TestFactor:
+    def test_square_free_matches_trial_division_below_10_5(self):
+        for n in range(2, 10**5):
+            assert _is_square_free(n) == trial_division_square_free(n), n
+
+    def test_prime_after_10_16_is_fast(self):
+        p = sympy.nextprime(10**16)
+        start = time.perf_counter()
+        assert _is_square_free(p)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1, 2, 997 * 997, 1000003**2, 2**61 - 1, 3**40 * 1009, sympy.nextprime(10**24),
+        ],
+    )
+    def test_matches_sympy(self, n):
+        assert _factor(n) == sympy.factorint(n)
+
+    def test_products_of_large_primes(self):
+        # known factorizations; sympy takes about a second on each
+        p = sympy.nextprime(10**12)
+        assert _factor((10**9 + 7) ** 2 * p) == {10**9 + 7: 2, p: 1}
+        assert _factor((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
+
+    @given(st.integers(1, 10**18))
+    @settings(max_examples=200, deadline=None)
+    def test_random_matches_sympy(self, n):
+        assert _factor(n) == sympy.factorint(n)
+
+    def test_prime_above_proof_range_raises(self):
+        with pytest.raises(InvalidInput):
+            _factor(sympy.nextprime(4 * 10**24))
+        with pytest.raises(InvalidInput):
+            GroundField.quadratic(sympy.nextprime(4 * 10**24))
+
 
 # ---------------------------------------------------------------------------
 # ground fields and elements

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoleaf.period_algebra import PeriodCharacter, WrongLeafKind
+from isoleaf.period_algebra import InvalidInput, PeriodCharacter, WrongLeafKind
 from isoleaf.teich_numeric import (
     DegenerateSystem,
     NoConvergence,
@@ -109,6 +109,13 @@ class TestWeierstrass:
             for z in (0.31 + 0.27j, 0.5, 0.1 + 0.6j):
                 assert abs(wp(z, tau) - lattice_sum_wp(z, tau)) < 5e-4
                 assert abs(wzeta(z, tau) - lattice_sum_zeta(z, tau)) < 5e-5
+
+    @pytest.mark.parametrize("tau", [1.2e-7j, 0.004j, 1 / 240 * 1j])
+    def test_modulus_past_double_range_is_typed(self, tau):
+        # the reduced modulus -1/tau has Im above 237, where the series
+        # overflow in double precision
+        with pytest.raises(InvalidInput):
+            WeierstrassData(tau)
 
     def test_square_lattice_eta(self):
         # classical: eta1(i) = pi, and eta2(i) = -i pi by the Legendre

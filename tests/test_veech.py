@@ -1,14 +1,17 @@
 """Tests for Veech group descriptors and the quadratic-unit search."""
 
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoleaf.period_algebra import (
     GroundField,
+    IsoleafError,
     PeriodCharacter,
     change_basis,
     normalize,
@@ -30,8 +33,41 @@ from isoleaf.veech import (
     unit_power,
     veech_group,
 )
+from isoleaf.veech import _power, _ring_mul
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 29, 61, 94]
+
+
+def old_unit_power(D, u, k):
+    """The binary powering loop the library used before, squaring past the top bit."""
+    out = (1, 0)
+    base = u
+    while k:
+        if k & 1:
+            out = _ring_mul(D, out, base)
+        base = _ring_mul(D, base, base)
+        k >>= 1
+    return out
+
+
+def walk_search(D, t, l, m):
+    """The residue-cycle walk the library used before, as an oracle.
+
+    Steps through eps, eps^2, ... modulo M = |t m N(l + m gamma)| until a
+    power of norm one meets the two divisibility conditions; returns its
+    exponent and exact generator.
+    """
+    eps = fundamental_unit(D)
+    n_eps = unit_norm(D, eps)
+    NL = unit_norm(D, (l, m))
+    M = abs(t * m * NL)
+    cur = (1 % M, 0)
+    for j in range(1, 2 * max(M * M, 1) + 3):
+        cur = _ring_mul(D, cur, eps, mod=M)
+        norm_ok = n_eps == 1 or j % 2 == 0
+        if norm_ok and cur[1] % abs(m) == 0 and ((cur[1] // abs(m)) * NL) % abs(t) == 0:
+            return j, old_unit_power(D, eps, j)
+    raise AssertionError("the walk found no stabilizing power")
 
 
 def brute_unit(D):
@@ -102,6 +138,12 @@ class TestFundamentalUnit:
         assert unit_power(2, eps, 3) == (7, 5)
         assert unit_power(2, eps, 0) == (1, 0)
 
+    @pytest.mark.parametrize("D", [2, 3, 5, 13, 94])
+    def test_unit_power_matches_old_loop(self, D):
+        eps = fundamental_unit(D)
+        for k in range(301):
+            assert unit_power(D, eps, k) == old_unit_power(D, eps, k), k
+
     @given(
         D=st.sampled_from(SQUARE_FREE),
         a1=st.integers(-30, 30),
@@ -160,10 +202,78 @@ class TestQuadraticGroup:
             quadratic_group(2, 2, 0, 2)
 
     def test_certificate_cycle_is_recorded(self):
+        # M' = |m t| / gcd(t, N(3 gamma)) = 3; 3 ramifies, so the order of
+        # eps modulo 3 divides 3, and eps^1 = 2 + gamma is not rational mod 3
         search = quadratic_group_search(3, 1, 0, 3)
-        assert search.modulus == 81
-        assert len(search.cycle) == search.exponent
-        assert search.cycle[-1] == (26 % 81, 15 % 81)
+        assert search.modulus == 3
+        assert search.factors == ((3, 1),)
+        assert search.bound == 3
+        assert search.witnesses == ((3, (2, 1)),)
+        assert search.cycle == ()  # no residue cycle is walked
+        assert search.generator == (26, 15)
+
+    @given(
+        D=st.sampled_from([2, 3, 5, 6, 13, 94]),
+        t=st.integers(-60, 60),
+        l=st.integers(-60, 60),
+        m=st.integers(-60, 60),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_certificate_checks(self, D, t, l, m):
+        if t == 0 or m == 0 or gcd(t, gcd(l, m)) != 1:
+            return
+        s = quadratic_group_search(D, t, l, m)
+        NL = unit_norm(D, (l, m))
+        M = abs(m * t) // gcd(t, NL)
+        assert s.modulus == M and s.cycle == ()
+        n = 1
+        for p, e in s.factors:
+            assert sympy.isprime(p)
+            n *= p**e
+        assert n == M
+        assert s.bound % s.exponent == 0
+        n_eps = unit_norm(D, s.unit)
+        assert n_eps ** s.exponent == 1
+        assert _power(D, s.unit, s.exponent, M)[1] == 0
+        assert [q for q, _ in s.witnesses] == sorted(sympy.factorint(s.exponent))
+        for q, residue in s.witnesses:
+            assert residue == _power(D, s.unit, s.exponent // q, M)
+            assert residue[1] != 0 or n_eps ** (s.exponent // q) == -1
+
+    @given(
+        D=st.sampled_from([2, 3, 5, 13, 94]),
+        t=st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 30, 49, 60]),
+        l=st.sampled_from([0, 1, 2, 5, 8, 9, 16, 35, 49]),
+        m=st.sampled_from([1, 2, 3, 4, 6, 9, 16, 25, 27, 42]),
+        sign=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_residue_cycle_walk(self, D, t, l, m, sign):
+        # composite and prime-power t, l, m, against the former walk
+        if gcd(t, gcd(l, m)) != 1:
+            return
+        search = quadratic_group_search(D, t, sign * l, m)
+        want = walk_search(D, t, sign * l, m)
+        assert (search.exponent, search.generator) == want
+
+    def test_prime_near_10_12_without_walk(self):
+        # t = p prime: M' = p and the exponent divides p - (8|p) or twice it;
+        # a walk would take about 10^12 steps
+        p = sympy.nextprime(10**12)
+        start = time.perf_counter()
+        s = quadratic_group_search(2, p, 0, 1)
+        assert time.perf_counter() - start < 0.1
+        assert s.modulus == p and s.factors == ((p, 1),)
+        assert (2 * (p - sympy.legendre_symbol(2, p))) % s.exponent == 0
+        assert s.exponent > 10**6
+        assert _power(2, s.unit, s.exponent, p)[1] == 0
+        for q in sympy.factorint(s.exponent):
+            assert _power(2, s.unit, s.exponent // q, p)[1] != 0 or (s.exponent // q) % 2
+
+    def test_modulus_above_certified_range_raises(self):
+        big = sympy.nextprime(10**25)
+        with pytest.raises(IsoleafError):
+            quadratic_group_search(2, big, 0, 1)
 
     @given(
         D=st.sampled_from([2, 3, 5, 13]),
@@ -282,7 +392,8 @@ class TestVeechGroup:
         F = GroundField.quadratic(2)
         chi = PeriodCharacter(F, F.one(), F.element(0, 1))
         desc = veech_group(chi)
-        assert desc == QuadraticV(D=2, tau=(1, 0, 1), generator=(3, 2), exponent=2)
+        assert desc == QuadraticV(D=2, tau=(1, 0, 1), exponent=2)
+        assert desc.generator == (3, 2)
 
     def test_basis_invariance_positive(self):
         chi = PeriodCharacter.gaussian((2, 1), (1, 3))
