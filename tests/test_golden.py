@@ -2,7 +2,10 @@
 
 The digests were taken before the exact kernel was rewritten over
 integers; those of ``arithmetic-24`` before the wall tree read its
-endpoint stars from the atlas and the viewport map went to integers.  A change to the kernel, the atlas builders or the renderer that
+endpoint stars from the atlas and the viewport map went to integers;
+those of ``negative-12`` and ``nonarith-sqrt2-8`` (the sizes the benchmark
+builds) before triples were enumerated by partner and each star germ was
+walked once.  A change to the kernel, the atlas builders or the renderer that
 alters a single byte of the canonical JSON (chamber order, gluing order,
 coordinate text, singularity ids) or of the SVG fails here, even when the
 atlas still round-trips and passes `check_atlas`.
@@ -41,6 +44,11 @@ GOLDEN = {
         "781ba5581cb1a6a690ce1b4a27b6ac8617661b28b205d010fb8f78d1895cdd0b",
         "38aa01d307aa4ad3e7d4324d4ea225c7ea66d4333fb80df1056375342342f5ec",
     ),
+    "negative-12": (
+        lambda: build_negative(12),
+        "6aa5fff75d20487d8563d51495e5543c4e855a202553cb21d55f3cdb62b360ad",
+        "c6a7abf22cb6574ec8543b19ae8934c301941eb2d99407f215b3d953f4a98cfc",
+    ),
     "positive-6": (
         lambda: build_positive(6),
         "44d13f375d0ed4e65b805b88cfdcc7b55070328c93d900f85f6c9a02247d9a08",
@@ -50,6 +58,11 @@ GOLDEN = {
         lambda: build_nonarith(GroundField.quadratic(2).element(0, 1), 6),
         "fd73a7801f6d723c397444131ac92418e6a257b21c9044bc0dde5c16c556ff28",
         "15aaa4c6fc6210febc95bef00cb7f1f45457427e2bc44c9eec66a70999b2e1e0",
+    ),
+    "nonarith-sqrt2-8": (
+        lambda: build_nonarith(GroundField.quadratic(2).element(0, 1), 8),
+        "13487fa3ecf8ba7b064414e87d0a5b98ca7897d4f68644ae1b84269751ebc648",
+        "bad6771266b3c6f4b113c8c41a7bfd57d67f873325bf2e4625636e74744c3f26",
     ),
     "nonarith-golden-6": (
         lambda: build_nonarith(

@@ -38,6 +38,7 @@ from isoleaf.leaf_atlas import (
     wall_surface_match,
     wall_tree,
 )
+from isoleaf import leaf_atlas
 from isoleaf.leaf_atlas import Sector, _Unglued, _iota_image, _partner_offset, _walk_star
 from isoleaf.period_algebra import (
     CharacteristicTriple,
@@ -691,6 +692,67 @@ class TestNegativeAtlas:
         # t = 5 on any cylinder boundary is far outside the glued window
         with pytest.raises(NotAVertex):
             singularity_star(atlas, (CylChamber(lat(1, 0)), 5))
+
+
+def _pair_scan_triples(bound):
+    """Characteristic triples from every (a, b) pair of max-norm <= bound: O(B^4)."""
+    out = set()
+    rng = range(-bound, bound + 1)
+    for m1 in rng:
+        for n1 in rng:
+            a = lat(m1, n1)
+            if a.is_zero():
+                continue
+            for m2 in rng:
+                for n2 in rng:
+                    b = lat(m2, n2)
+                    if a.det(b) != 1:
+                        continue
+                    c = -a - b
+                    if c.max_norm() > bound:
+                        continue
+                    out.add(CharacteristicTriple.make(a, b, c))
+    return sorted(out, key=CharacteristicTriple.sort_key)
+
+
+@pytest.mark.parametrize("bound", range(1, 11))
+def test_coord_triples_match_pair_scan(bound):
+    assert leaf_atlas._coord_triples(bound) == _pair_scan_triples(bound)
+
+
+class TestStarWalkCost:
+    """Each germ starts at most one `_other_germ` step; each corner ratio is computed once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_other_germ": 0, "_corner_ratio": 0}
+        for name in calls:
+
+            def counted(*args, _fn=getattr(leaf_atlas, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(leaf_atlas, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_negative(12), lambda: build_arithmetic(24)],
+        ids=["negative-12", "arithmetic-24"],
+    )
+    def test_one_walk_per_germ(self, calls, build):
+        atlas = build()
+        triples = sum(1 for c in atlas.chambers if isinstance(c, DegChamber))
+
+        def assert_within(atlas):
+            germs = len(atlas._germ_index)
+            assert calls["_other_germ"] <= germs
+            assert calls["_corner_ratio"] <= 3 * triples
+
+        assert_within(atlas)
+        text = json.dumps(atlas_to_json_dict(atlas))
+        calls.update(dict.fromkeys(calls, 0))
+        assert_within(atlas_from_json_dict(json.loads(text)))
 
 
 # ---------------------------------------------------------------------------
