@@ -363,24 +363,38 @@ def primitive_elements(bound: int) -> list[LatticeElement]:
 
 
 def _coord_triples(bound: int) -> list[CharacteristicTriple]:
-    """Characteristic triples by coordinates only (no leaf-kind check)."""
-    out = set()
-    rng = range(-bound, bound + 1)
-    for m1 in rng:
-        for n1 in rng:
-            a = LatticeElement(m1, n1)
-            if a.is_zero():
-                continue
-            for m2 in rng:
-                for n2 in rng:
-                    b = LatticeElement(m2, n2)
-                    if a.det(b) != 1:
-                        continue
-                    c = -a - b
-                    if c.max_norm() > bound:
-                        continue
-                    out.add(CharacteristicTriple.make(a, b, c))
+    """Characteristic triples by coordinates only (no leaf-kind check).
+
+    Every ``b`` with ``det(a, b) = 1`` is ``symplectic_partner(a) + m a``
+    for an integer ``m``, and only primitive ``a`` have one.  So for each
+    primitive ``a`` the triples ``(a, b, -a - b)`` of max-norm ``<= bound``
+    are an integer interval of ``m``; each triple is kept from the rotation
+    that starts at its least element, which is its canonical one.
+    """
+    out = []
+    for a in primitive_elements(bound):
+        p = symplectic_partner(a)
+        # |m| <= bound + |p| since |a| >= 1; then |p + m a| <= bound and
+        # |a + p + m a| <= bound, coordinate by coordinate
+        lo, hi = -bound - p.max_norm(), bound + p.max_norm()
+        for x, y in ((p.m, a.m), (p.n, a.n), (a.m + p.m, a.m), (a.n + p.n, a.n)):
+            lo, hi = _clip_interval(lo, hi, x, y, bound)
+        for m in range(lo, hi + 1):
+            b = p + a.scale(m)
+            c = -a - b
+            if (a.m, a.n) < (b.m, b.n) and (a.m, a.n) < (c.m, c.n):
+                out.append(CharacteristicTriple(a, b, c))
     return sorted(out, key=CharacteristicTriple.sort_key)
+
+
+def _clip_interval(lo: int, hi: int, x: int, y: int, bound: int) -> tuple[int, int]:
+    """The part of ``[lo, hi]`` where ``|x + m y| <= bound``."""
+    if y == 0:
+        return (lo, hi) if abs(x) <= bound else (1, 0)
+    if y < 0:
+        x, y = -x, -y
+    # -bound <= x + m y <= bound, with y > 0
+    return max(lo, -((bound + x) // y)), min(hi, (bound - x) // y)
 
 
 def _dedupe_gluings(records) -> list[Gluing]:
@@ -856,8 +870,11 @@ def _cross(atlas: Atlas, germ):
     return (g.seg_b.chamber, g.seg_b.part, v2, g.sigma * direction)
 
 
-def _other_germ(atlas: Atlas, germ):
-    """The second boundary germ at this chamber corner, plus the sector."""
+def _other_germ(atlas: Atlas, germ, ratios: dict):
+    """The second boundary germ at this chamber corner, plus the sector.
+
+    ``ratios`` memoizes triangle corner ratios by (triple, corner).
+    """
     chamber, part, v, direction = germ
     if isinstance(chamber, TorusChamber):
         _, gamma, side = part
@@ -872,7 +889,9 @@ def _other_germ(atlas: Atlas, germ):
         T = chamber.triple
         label = _deg_vertex_of_germ(part, v.a)
         g1, g2, (d1, d2) = _deg_vertex_table(T)[label]
-        ratio = _corner_ratio(atlas.character, d1, d2)
+        ratio = ratios.get((T, label))
+        if ratio is None:
+            ratio = ratios[(T, label)] = _corner_ratio(atlas.character, d1, d2)
         sector = Sector(chamber, ("corner", label), ratio=ratio)
         Q = GroundField.rational()
         mine = (part, int(v.a), direction)
@@ -886,17 +905,63 @@ def _other_germ(atlas: Atlas, germ):
     raise NotAVertex(f"unsupported chamber {chamber!r}")
 
 
-def _walk_star(atlas: Atlas, start, ident=None, tag=None, max_steps=64) -> Singularity:
-    sectors = []
+def _germ_key(germ):
+    chamber, part, v, direction = germ
+    return (chamber, part, _fe_key(v), direction)
+
+
+def _walk(atlas: Atlas, start, max_steps=64, open_=None, ratios=None):
+    """Sectors and germ keys (incoming and outgoing) of the star walk from ``start``.
+
+    Raises `_Unglued` when the walk runs into a boundary without a gluing.
+    ``open_`` maps the key of each incoming germ of such a walk to the
+    number of steps its own walk takes to fail; the walk is a function of
+    its germ, so a walk that reaches one of these stops there, and every
+    walk that fails records its incoming germs in ``open_``.
+    """
+    if ratios is None:
+        ratios = {}
+    sectors, keys = [], []
     g_in = start
-    for _ in range(max_steps):
-        g_out, sector = _other_germ(atlas, g_in)
+    for step in range(max_steps):
+        key = _germ_key(g_in)
+        left = None if open_ is None else open_.get(key)
+        if left is not None:
+            # the walk from here fails after `left` more steps
+            _mark_open(open_, keys, step + left, max_steps, start)
+            raise _Unglued(f"{g_in} leads to an unglued boundary")
+        g_out, sector = _other_germ(atlas, g_in, ratios)
         sectors.append(sector)
-        g_in = _cross(atlas, g_out)
+        keys += (key, _germ_key(g_out))
+        try:
+            g_in = _cross(atlas, g_out)
+        except _Unglued:
+            if open_ is not None:
+                _mark_open(open_, keys, step + 1, max_steps, start)
+            raise
         if g_in == start:
-            break
-    else:
+            return sectors, keys
+    raise NonIntegralStar(f"star walk from {start} did not close")
+
+
+def _mark_open(open_: dict, keys: list, steps: int, max_steps: int, start):
+    """Record the incoming germs of a walk that fails after ``steps`` steps.
+
+    They are the even entries of ``keys``.  A walk longer than
+    ``max_steps`` does not close, as the plain walk would report.
+    """
+    if steps > max_steps:
         raise NonIntegralStar(f"star walk from {start} did not close")
+    for j, key in enumerate(keys[::2]):
+        open_[key] = steps - j
+
+
+def _walk_star(atlas: Atlas, start, ident=None, tag=None, max_steps=64) -> Singularity:
+    sectors, _ = _walk(atlas, start, max_steps)
+    return _star(atlas, sectors, ident, tag)
+
+
+def _star(atlas: Atlas, sectors, ident=None, tag=None) -> Singularity:
     if ident is None:
         ident = _star_ident(atlas, sectors)
     return Singularity(
@@ -939,8 +1004,15 @@ def _star_ident(atlas: Atlas, sectors) -> tuple:
 
 
 def _collect_stars(atlas: Atlas) -> None:
-    """Enumerate complete singular stars by walking from every germ once."""
+    """Enumerate complete singular stars, walking each germ at most once.
+
+    Walks start in gluing order at every germ not yet seen: a germ of a
+    closed star is skipped in either orientation, and a germ known to lead
+    to an unglued boundary is never walked again.
+    """
     visited = set()
+    open_ = {}
+    ratios = {}
     stars = {}
     for g in atlas.gluings:
         seg = g.seg_a
@@ -948,8 +1020,8 @@ def _collect_stars(atlas: Atlas) -> None:
             if v is None:
                 continue
             germ = (seg.chamber, seg.part, v, direction)
-            key = (seg.chamber, seg.part, _fe_key(v), direction)
-            if key in visited:
+            key = _germ_key(germ)
+            if key in visited or key in open_:
                 continue
             tag = None
             if (
@@ -960,13 +1032,11 @@ def _collect_stars(atlas: Atlas) -> None:
             ):
                 tag = "pinched_torus"
             try:
-                star = _walk_star(atlas, germ, tag=tag)
-            except _Unglued:
+                sectors, keys = _walk(atlas, germ, open_=open_, ratios=ratios)
+            except (_Unglued, NotAVertex):
                 continue
-            except NotAVertex:
-                continue
-            for _germ, germ_key in _star_germs(atlas, germ):
-                visited.add(germ_key)
+            star = _star(atlas, sectors, tag=tag)
+            visited.update(keys)
             if tag == "pinched_torus":
                 if atlas.center is None:
                     atlas.center = Singularity(
@@ -978,22 +1048,6 @@ def _collect_stars(atlas: Atlas) -> None:
                 continue
             stars[star.ident] = star
     atlas.singularities = [stars[k] for k in sorted(stars)]
-
-
-def _star_germs(atlas: Atlas, start, max_steps=64):
-    """All incoming germs of a star walk, with their index keys."""
-    out = []
-    g_in = start
-    for _ in range(max_steps):
-        chamber, part, v, direction = g_in
-        out.append((g_in, (chamber, part, _fe_key(v), direction)))
-        g_out, _ = _other_germ(atlas, g_in)
-        chamber, part, v, direction = g_out
-        out.append((g_out, (chamber, part, _fe_key(v), direction)))
-        g_in = _cross(atlas, g_out)
-        if g_in == start:
-            break
-    return out
 
 
 def singularity_star(atlas: Atlas, point) -> Singularity:

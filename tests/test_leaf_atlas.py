@@ -755,6 +755,73 @@ class TestStarWalkCost:
         assert_within(atlas_from_json_dict(json.loads(text)))
 
 
+def _every_germ_stars(atlas):
+    """Stars by a plain walk from every germ that no closed star holds yet."""
+    visited, stars = set(), {}
+    for g in atlas.gluings:
+        seg = g.seg_a
+        for v, direction in ((seg.lo, +1), (seg.hi, -1)):
+            germ = (seg.chamber, seg.part, v, direction)
+            if v is None or leaf_atlas._germ_key(germ) in visited:
+                continue
+            try:
+                sectors, keys = leaf_atlas._walk(atlas, germ)
+            except (_Unglued, NotAVertex):
+                continue
+            visited.update(keys)
+            star = leaf_atlas._star(atlas, sectors)
+            stars[star.ident] = star
+    return [stars[k] for k in sorted(stars)]
+
+
+_NEGATIVE_3 = build_negative(3)
+_NONARITH_3 = build_nonarith(GroundField.quadratic(2).element(0, 1), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nonarith=st.booleans())
+def test_open_walks_skipped_without_changing_stars(data, nonarith):
+    # dropping gluings (a reverse may stay) leaves open chains and
+    # one-sided crossings; the stars must be those of the plain walk
+    whole = _NONARITH_3 if nonarith else _NEGATIVE_3
+    n = len(whole.gluings)
+    drop = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    gluings = [g for i, g in enumerate(whole.gluings) if i not in drop]
+    atlas = Atlas(whole.kind, whole.character, whole.bound, whole.chambers, gluings, [], [])
+    leaf_atlas._collect_stars(atlas)
+    assert atlas.singularities == _every_germ_stars(atlas)
+
+
+def _walk_outcome(atlas, germ, max_steps, open_=None):
+    try:
+        sectors, _ = leaf_atlas._walk(atlas, germ, max_steps, open_=open_)
+    except (_Unglued, NonIntegralStar) as exc:
+        return type(exc)
+    return tuple(sectors)
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3, 8])
+def test_walk_through_open_germ_keeps_step_limit(max_steps):
+    # the second germ of each walk is walked first, so the walk from the
+    # first stops there; it must end as the plain walk with the same limit
+    gluings = _NEGATIVE_3.gluings[::2]
+    atlas = Atlas("negative", _NEGATIVE_3.character, 3, _NEGATIVE_3.chambers, gluings, [], [])
+    ends = set()
+    for g in gluings:
+        germ = (g.seg_a.chamber, g.seg_a.part, g.seg_a.lo, +1)
+        try:
+            nxt = leaf_atlas._cross(atlas, leaf_atlas._other_germ(atlas, germ, {})[0])
+        except _Unglued:
+            continue
+        open_ = {}
+        _walk_outcome(atlas, nxt, max_steps, open_)
+        ends.add(_walk_outcome(atlas, germ, max_steps))
+        assert _walk_outcome(atlas, germ, max_steps, open_) == _walk_outcome(atlas, germ, max_steps)
+    # both ends occur: a limit below a chain's length, and an unglued boundary
+    assert (NonIntegralStar in ends) == (max_steps < 8)
+    assert (_Unglued in ends) == (max_steps > 1)
+
+
 # ---------------------------------------------------------------------------
 # non-arithmetic leaves
 
