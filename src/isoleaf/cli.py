@@ -122,7 +122,11 @@ def _radicand(text: str) -> int:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 2 or not _is_square_free(value):
+    try:
+        square_free = value >= 2 and _is_square_free(value)
+    except IsoleafError as exc:  # too hard to factor
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not square_free:
         raise argparse.ArgumentTypeError(f"expected a square-free integer >= 2, got {text!r}")
     return value
 

@@ -152,12 +152,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _rho(n: int) -> int:
-    """A proper factor of an odd composite n (Pollard 1975, in Brent's form)."""
+# squarings that one `_factor` call may spend in Pollard-Brent rho, about a
+# second of work: a prime factor p takes about sqrt(p) of them, so a factor
+# below 10^9 takes at most a quarter of the budget
+_RHO_STEPS = 1 << 20
+
+
+def _rho(n: int, steps: int) -> tuple[int, int]:
+    """A proper factor of an odd composite n (Pollard 1975, in Brent's form).
+
+    Returns the factor and what is left of the ``steps`` squarings allowed.
+
+    Raises
+    ------
+    InvalidInput
+        If no factor turns up within ``steps`` squarings.
+    """
     c = 1
     while True:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                raise InvalidInput(
+                    f"cannot factor {n}: no factor found within {_RHO_STEPS} rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -176,7 +195,7 @@ def _rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
         c += 1
 
 
@@ -186,13 +205,14 @@ def _factor(n: int) -> dict:
     Trial division by the primes below 1000, then Miller-Rabin and
     Pollard-Brent rho on what is left.  Every prime returned is proved
     prime.  The time grows with the second-largest prime factor, so a
-    product of two large primes is as hard as factoring it.
+    product of two large primes is as hard as factoring it; the rho steps
+    are bounded by `_RHO_STEPS`.
 
     Raises
     ------
     InvalidInput
         If a factor above 3.3e24 passes Miller-Rabin and so cannot be
-        proved prime.
+        proved prime, or if rho finds no factor within `_RHO_STEPS` steps.
     """
     out: dict = {}
     for p in _SMALL_PRIMES:
@@ -202,13 +222,14 @@ def _factor(n: int) -> dict:
             n //= p
             out[p] = out.get(p, 0) + 1
     stack = [n] if n > 1 else []
+    steps = _RHO_STEPS
     while stack:
         f = stack.pop()
         # no prime below 1000 divides f, so f < 1000^2 is prime
         if f < 10**6 or _is_prime(f):
             out[f] = out.get(f, 0) + 1
         else:
-            d = _rho(f)
+            d, steps = _rho(f, steps)
             stack += [d, f // d]
     return dict(sorted(out.items()))
 

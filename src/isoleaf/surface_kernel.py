@@ -67,8 +67,6 @@ __all__ = [
     "cylinder_boundary_surface",
     "hexagon_boundary_surface",
     "cylinder_member_min",
-    "cylinder_member_pair",
-    "cylinder_member_areas",
 ]
 
 
@@ -193,26 +191,6 @@ def cylinder_member_min(chi: PeriodCharacter, u: LatticeElement, z: ExactComplex
     vol = chi.volume()
     bound = min(Fraction(0), vol)
     return (s - bound).sign() < 0
-
-
-def cylinder_member_pair(
-    chi: PeriodCharacter, u: LatticeElement, v: LatticeElement, z: ExactComplex
-) -> bool:
-    """Membership as two inequalities: both Im(conj(u) z) and Im(conj(u)(z - v)) negative."""
-    uval = to_exact_complex(chi.lattice_value(u))
-    vval = to_exact_complex(chi.lattice_value(v))
-    return _im_conj_mult(uval, z).sign() < 0 and _im_conj_mult(uval, z - vval).sign() < 0
-
-
-def cylinder_member_areas(
-    chi: PeriodCharacter, u: LatticeElement, v: LatticeElement, z: ExactComplex
-) -> bool:
-    """Membership as positivity of the two parallelogram areas over the core."""
-    uval = to_exact_complex(chi.lattice_value(u))
-    vval = to_exact_complex(chi.lattice_value(v))
-    area_p = -_im_conj_mult(uval, z)
-    area_q = -_im_conj_mult(uval, z - vval)
-    return area_p.sign() > 0 and area_q.sign() > 0
 
 
 @dataclass(frozen=True)

@@ -175,10 +175,14 @@ class WeierstrassData:
         qk = 1.0 + 0j
         for k in range(1, K + 1):
             qk *= q2
+            if qk == 0:
+                # q^k underflowed; past here e^{-2 pi i k z0} may overflow, and
+                # 0 * inf would make every series nan
+                break
             Q.append(qk / (1 - qk))
         self._Q = Q
 
-        e2_sum = sum((k + 1) * Q[k] for k in range(K))
+        e2_sum = sum((k + 1) * Qk for k, Qk in enumerate(Q))
         self._eta1_r = (pi * pi / 3) * (1 - 24 * e2_sum)
         try:
             self._eta2_r = 2 * self._zeta_reduced(tau_r / 2)
@@ -188,7 +192,8 @@ class WeierstrassData:
                 f"(reduced Im tau = {tau_r.imag:.3g})"
             ) from None
         legendre = self._eta1_r * tau_r - self._eta2_r
-        if abs(legendre - TWO_PI_I) > max(1e-9, 1e4 * self.precision):
+        # written so that a nan residual fails too
+        if not abs(legendre - TWO_PI_I) <= max(1e-9, 1e4 * self.precision):
             raise IsoleafError(
                 f"Legendre self-check failed at tau={tau!r}: {legendre!r}"
             )

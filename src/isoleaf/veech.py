@@ -48,6 +48,8 @@ from isoleaf.period_algebra import (
     _factor,
     _is_square_free,
     classify,
+    mat2_det,
+    mat2_mul,
     normalize,
 )
 
@@ -437,19 +439,8 @@ def veech_group(chi: PeriodCharacter):
     return QuadraticV(D=D, tau=tau, exponent=quadratic_group_search(D, *tau).exponent)
 
 
-def _mat_mul(A, B):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
-def _mat_det(A):
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
 def _mat_inv(A):
-    d = _mat_det(A)
+    d = mat2_det(A)
     if d == 0:
         raise IsoleafError("conjugator is singular")
     return (
@@ -467,27 +458,28 @@ def group_contains(descriptor, matrix) -> bool:
     A = _as_frac_matrix(matrix)
     if isinstance(descriptor, ConjSL2Z):
         M = _as_frac_matrix(descriptor.conjugator)
-        B = _mat_mul(_mat_mul(_mat_inv(M), A), M)
+        B = mat2_mul(mat2_mul(_mat_inv(M), A), M)
         return (
-            all(x.denominator == 1 for row in B for x in row) and _mat_det(B) == 1
+            all(x.denominator == 1 for row in B for x in row) and mat2_det(B) == 1
         )
     if isinstance(descriptor, TriangularV):
         s = A[0][0]
         return s in (1, -1) and A[1][0] == 0 and s * A[1][1] > 0
     if isinstance(descriptor, QuadraticV):
-        if _mat_det(A) != 1:
+        if mat2_det(A) != 1:
             return False
         if all(x.denominator == 1 for row in A for x in row):
             G = _as_frac_matrix(descriptor.matrix)
+            minus = _as_frac_matrix(((-1, 0), (0, -1)))
             for base in (G, _mat_inv(G)):
-                P = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+                P = _as_frac_matrix(((1, 0), (0, 1)))
                 for _ in range(512):
-                    if P == A or _mat_mul(((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))), P) == A:
+                    if P == A or mat2_mul(minus, P) == A:
                         return True
                     if max(abs(x) for row in P for x in row) > 4 * max(
                         1, max(abs(x) for row in A for x in row)
                     ):
                         break
-                    P = _mat_mul(P, base)
+                    P = mat2_mul(P, base)
         return False
     raise IsoleafError(f"unknown descriptor {descriptor!r}")

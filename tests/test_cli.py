@@ -19,6 +19,10 @@ from isoleaf.teich_numeric import hyperbolic_distance, model_point
 from isoleaf.veech import veech_group
 
 
+# nextprime(10**19) * nextprime(3 * 10**19): factoring it takes about 10^10 rho steps
+_SEMIPRIME = 300000000000000001940000000000000002091
+
+
 def invoke(capsys, argv):
     """Run the CLI in-process; return (exit_code, stdout, stderr)."""
     code = cli.run(argv)
@@ -248,6 +252,28 @@ class TestVeech:
         assert time.perf_counter() - start < 0.1
         assert code == 1 and out == ""
         assert err.strip().splitlines()[-1].startswith("error: the generator eps^1000004 ")
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["classify", "--field", "quadratic", f"--D={_SEMIPRIME}", "--g1=1,0", "--g2=0,1"], 2),
+            (["veech", "--field", "quadratic", "--D", "2", "--g1=1,0", f"--g2=0,1/{_SEMIPRIME}"], 1),
+        ],
+        ids=["classify-D", "veech-denominator"],
+    )
+    def test_product_of_two_large_primes_ends_in_one_error(self, capsys, argv, want):
+        # the Pollard-Brent steps of one factorization are bounded
+        start = time.perf_counter()
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 5
+        assert code == want and "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and err.strip().splitlines()[-1] == errors[0]
+        assert f"cannot factor {_SEMIPRIME}" in errors[0]
 
     @pytest.mark.parametrize("limit, code", [(667, 0), (666, 1)])
     def test_generator_near_limit_is_expanded(self, capsys, limit, code):

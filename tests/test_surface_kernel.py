@@ -29,10 +29,9 @@ from isoleaf.surface_kernel import (
     TorusSurface,
     WallCrossing,
     core_type,
+    _im_conj_mult,
     cylinder_boundary_surface,
-    cylinder_member_areas,
     cylinder_member_min,
-    cylinder_member_pair,
     hexagon_boundary_surface,
     hexagon_from_rotation,
     to_exact_complex,
@@ -120,6 +119,22 @@ class TestVolumeConstraint:
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+def cylinder_member_pair(chi, u, v, z):
+    """Membership as two inequalities: both Im(conj(u) z) and Im(conj(u)(z - v)) negative."""
+    uval = to_exact_complex(chi.lattice_value(u))
+    vval = to_exact_complex(chi.lattice_value(v))
+    return _im_conj_mult(uval, z).sign() < 0 and _im_conj_mult(uval, z - vval).sign() < 0
+
+
+def cylinder_member_areas(chi, u, v, z):
+    """Membership as positivity of the two parallelogram areas over the core."""
+    uval = to_exact_complex(chi.lattice_value(u))
+    vval = to_exact_complex(chi.lattice_value(v))
+    area_p = -_im_conj_mult(uval, z)
+    area_q = -_im_conj_mult(uval, z - vval)
+    return area_p.sign() > 0 and area_q.sign() > 0
 
 
 class TestCylinderMembership:

@@ -1,5 +1,6 @@
 """Weierstrass layer, leaf inversion, chamber traces, boundary limits."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -116,6 +117,20 @@ class TestWeierstrass:
         # overflow in double precision
         with pytest.raises(InvalidInput):
             WeierstrassData(tau)
+
+    @pytest.mark.parametrize("height", [10, 20, 30, 50, 100, 150, 200])
+    def test_high_modulus_stays_finite(self, height):
+        # from Im tau about 30 on, q^k underflows to 0 within the table while
+        # e^{-2 pi i k z0} overflows; their product was nan, and so were eta1,
+        # eta2 and wp.  A tau near the cusp 0 reduces to the same height.
+        for tau in (0.1 + height * 1j, -0.37 + height * 1j, 1j / height):
+            data = WeierstrassData(tau)
+            legendre = data.eta1 * tau - data.eta2
+            assert abs(legendre - TWO_PI_I) < 1e-8 * max(1, abs(data.eta2))
+            z = 0.25 + 0.3 * tau
+            assert all(cmath.isfinite(v) for v in (data.wp(z), data.wzeta(z)))
+        data = WeierstrassData(0.1 + height * 1j)
+        assert abs(data.eta1 - math.pi**2 / 3) < 1e-12
 
     def test_square_lattice_eta(self):
         # classical: eta1(i) = pi, and eta2(i) = -i pi by the Legendre
