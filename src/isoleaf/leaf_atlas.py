@@ -910,22 +910,21 @@ def _germ_key(germ):
     return (chamber, part, _fe_key(v), direction)
 
 
-def _walk(atlas: Atlas, start, max_steps=64, open_=None, ratios=None):
+def _walk(atlas: Atlas, start, open_: dict, ratios: dict, max_steps=64):
     """Sectors and germ keys (incoming and outgoing) of the star walk from ``start``.
 
     Raises `_Unglued` when the walk runs into a boundary without a gluing.
     ``open_`` maps the key of each incoming germ of such a walk to the
     number of steps its own walk takes to fail; the walk is a function of
     its germ, so a walk that reaches one of these stops there, and every
-    walk that fails records its incoming germs in ``open_``.
+    walk that fails records its incoming germs in ``open_``.  ``ratios``
+    is passed on to `_other_germ`.
     """
-    if ratios is None:
-        ratios = {}
     sectors, keys = [], []
     g_in = start
     for step in range(max_steps):
         key = _germ_key(g_in)
-        left = None if open_ is None else open_.get(key)
+        left = open_.get(key)
         if left is not None:
             # the walk from here fails after `left` more steps
             _mark_open(open_, keys, step + left, max_steps, start)
@@ -936,8 +935,7 @@ def _walk(atlas: Atlas, start, max_steps=64, open_=None, ratios=None):
         try:
             g_in = _cross(atlas, g_out)
         except _Unglued:
-            if open_ is not None:
-                _mark_open(open_, keys, step + 1, max_steps, start)
+            _mark_open(open_, keys, step + 1, max_steps, start)
             raise
         if g_in == start:
             return sectors, keys
@@ -957,7 +955,7 @@ def _mark_open(open_: dict, keys: list, steps: int, max_steps: int, start):
 
 
 def _walk_star(atlas: Atlas, start, ident=None, tag=None, max_steps=64) -> Singularity:
-    sectors, _ = _walk(atlas, start, max_steps)
+    sectors, _ = _walk(atlas, start, {}, {}, max_steps)
     return _star(atlas, sectors, ident, tag)
 
 
@@ -1032,7 +1030,7 @@ def _collect_stars(atlas: Atlas) -> None:
             ):
                 tag = "pinched_torus"
             try:
-                sectors, keys = _walk(atlas, germ, open_=open_, ratios=ratios)
+                sectors, keys = _walk(atlas, germ, open_, ratios)
             except (_Unglued, NotAVertex):
                 continue
             star = _star(atlas, sectors, tag=tag)

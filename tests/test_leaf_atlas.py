@@ -765,7 +765,7 @@ def _every_germ_stars(atlas):
             if v is None or leaf_atlas._germ_key(germ) in visited:
                 continue
             try:
-                sectors, keys = leaf_atlas._walk(atlas, germ)
+                sectors, keys = leaf_atlas._walk(atlas, germ, {}, {})
             except (_Unglued, NotAVertex):
                 continue
             visited.update(keys)
@@ -794,7 +794,7 @@ def test_open_walks_skipped_without_changing_stars(data, nonarith):
 
 def _walk_outcome(atlas, germ, max_steps, open_=None):
     try:
-        sectors, _ = leaf_atlas._walk(atlas, germ, max_steps, open_=open_)
+        sectors, _ = leaf_atlas._walk(atlas, germ, {} if open_ is None else open_, {}, max_steps)
     except (_Unglued, NonIntegralStar) as exc:
         return type(exc)
     return tuple(sectors)
