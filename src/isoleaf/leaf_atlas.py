@@ -954,8 +954,8 @@ def _mark_open(open_: dict, keys: list, steps: int, max_steps: int, start):
         open_[key] = steps - j
 
 
-def _walk_star(atlas: Atlas, start, ident=None, tag=None, max_steps=64) -> Singularity:
-    sectors, _ = _walk(atlas, start, {}, {}, max_steps)
+def _walk_star(atlas: Atlas, start, ident=None, tag=None) -> Singularity:
+    sectors, _ = _walk(atlas, start, {}, {})
     return _star(atlas, sectors, ident, tag)
 
 
