@@ -38,6 +38,7 @@ from isoleaf.period_algebra import (
     PeriodCharacter,
     WrongLeafKind,
     classify,
+    coordinate_triples,
     pm_representative,
     symplectic_partner,
 )
@@ -362,41 +363,6 @@ def primitive_elements(bound: int) -> list[LatticeElement]:
     return out
 
 
-def _coord_triples(bound: int) -> list[CharacteristicTriple]:
-    """Characteristic triples by coordinates only (no leaf-kind check).
-
-    Every ``b`` with ``det(a, b) = 1`` is ``symplectic_partner(a) + m a``
-    for an integer ``m``, and only primitive ``a`` have one.  So for each
-    primitive ``a`` the triples ``(a, b, -a - b)`` of max-norm ``<= bound``
-    are an integer interval of ``m``; each triple is kept from the rotation
-    that starts at its least element, which is its canonical one.
-    """
-    out = []
-    for a in primitive_elements(bound):
-        p = symplectic_partner(a)
-        # |m| <= bound + |p| since |a| >= 1; then |p + m a| <= bound and
-        # |a + p + m a| <= bound, coordinate by coordinate
-        lo, hi = -bound - p.max_norm(), bound + p.max_norm()
-        for x, y in ((p.m, a.m), (p.n, a.n), (a.m + p.m, a.m), (a.n + p.n, a.n)):
-            lo, hi = _clip_interval(lo, hi, x, y, bound)
-        for m in range(lo, hi + 1):
-            b = p + a.scale(m)
-            c = -a - b
-            if (a.m, a.n) < (b.m, b.n) and (a.m, a.n) < (c.m, c.n):
-                out.append(CharacteristicTriple(a, b, c))
-    return sorted(out, key=CharacteristicTriple.sort_key)
-
-
-def _clip_interval(lo: int, hi: int, x: int, y: int, bound: int) -> tuple[int, int]:
-    """The part of ``[lo, hi]`` where ``|x + m y| <= bound``."""
-    if y == 0:
-        return (lo, hi) if abs(x) <= bound else (1, 0)
-    if y < 0:
-        x, y = -x, -y
-    # -bound <= x + m y <= bound, with y > 0
-    return max(lo, -((bound + x) // y)), min(hi, (bound - x) // y)
-
-
 def _dedupe_gluings(records) -> list[Gluing]:
     seen = {}
     for g in records:
@@ -497,7 +463,7 @@ def build_negative(bound: int) -> Atlas:
     chi = PeriodCharacter.gaussian((1, 0), (0, -1))
     Q = GroundField.rational()
     prims = primitive_elements(bound)
-    triples = _coord_triples(bound)
+    triples = coordinate_triples(bound)
     chambers = [CylChamber(u) for u in prims] + [DegChamber(t) for t in triples]
     chambers.sort(key=_chamber_key)
 
@@ -794,7 +760,7 @@ def build_nonarith(theta, bound: int) -> Atlas:
     chi = PeriodCharacter(F, F.one(), theta)
 
     prims = primitive_elements(bound)
-    triples = _coord_triples(bound)
+    triples = coordinate_triples(bound)
     chambers = [CylChamber(u) for u in prims]
     chambers.sort(key=_chamber_key)
 

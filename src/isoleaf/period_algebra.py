@@ -60,6 +60,7 @@ __all__ = [
     "classify",
     "is_primitive",
     "enumerate_triples",
+    "coordinate_triples",
     "change_basis",
     "normalize",
     "mat2_det",
@@ -1213,20 +1214,50 @@ def enumerate_triples(chi: PeriodCharacter, bound: int) -> list[CharacteristicTr
     """
     if not classify(chi).is_negative:
         raise WrongLeafKind("characteristic triples require a negative character")
-    out = set()
+    return coordinate_triples(bound)
+
+
+def coordinate_triples(bound: int) -> list[CharacteristicTriple]:
+    """Characteristic triples of max-norm ``<= bound``, by coordinates only.
+
+    Every ``b`` with ``det(a, b) = 1`` is ``symplectic_partner(a) + m a``
+    for an integer ``m``, and only primitive ``a`` have one.  So for each
+    primitive ``a`` the triples ``(a, b, -a - b)`` within the bound are an
+    integer interval of ``m``; each triple is kept from the rotation that
+    starts at its least element, which is its canonical one.  The work is
+    linear in the number of triples.
+    """
+    out = []
     rng = range(-bound, bound + 1)
-    for m1 in rng:
-        for n1 in rng:
-            a = LatticeElement(m1, n1)
-            if a.is_zero():
+    for i in rng:
+        for j in rng:
+            if gcd(i, j) != 1:
                 continue
-            for m2 in rng:
-                for n2 in rng:
-                    b = LatticeElement(m2, n2)
-                    if a.det(b) != 1:
-                        continue
-                    c = -a - b
-                    if c.max_norm() > bound:
-                        continue
-                    out.add(CharacteristicTriple.make(a, b, c))
+            a = LatticeElement(i, j)
+            p = symplectic_partner(a)
+            for m in _partner_steps(a, p, bound):
+                b = p + a.scale(m)
+                c = -a - b
+                if (a.m, a.n) < (b.m, b.n) and (a.m, a.n) < (c.m, c.n):
+                    out.append(CharacteristicTriple(a, b, c))
     return sorted(out, key=CharacteristicTriple.sort_key)
+
+
+def _partner_steps(a: LatticeElement, p: LatticeElement, bound: int) -> range:
+    """The integers m with ``p + m a`` and ``a + p + m a`` of max-norm ``<= bound``.
+
+    Each coordinate ``x + m y`` of the two is one condition; those with
+    ``y != 0`` bound m on both sides, and ``a != 0`` gives at least one.
+    """
+    lows, highs = [], []
+    for x, y in ((p.m, a.m), (p.n, a.n), (a.m + p.m, a.m), (a.n + p.n, a.n)):
+        if y == 0:
+            if abs(x) > bound:
+                return range(0)
+            continue
+        if y < 0:
+            x, y = -x, -y
+        # -bound <= x + m y <= bound, with y > 0
+        lows.append(-((bound + x) // y))
+        highs.append((bound - x) // y)
+    return range(max(lows), min(highs) + 1)

@@ -14,7 +14,7 @@ import pytest
 
 from isoleaf import cli
 from isoleaf.leaf_atlas import atlas_from_json_dict
-from isoleaf.period_algebra import PeriodCharacter
+from isoleaf.period_algebra import _RHO_STEPS, PeriodCharacter
 from isoleaf.teich_numeric import hyperbolic_distance, model_point
 from isoleaf.veech import veech_group
 
@@ -262,18 +262,21 @@ class TestVeech:
         ids=["classify-D", "veech-denominator"],
     )
     def test_product_of_two_large_primes_ends_in_one_error(self, capsys, argv, want):
-        # the Pollard-Brent steps of one factorization are bounded
+        # the Pollard-Brent steps of one factorization are bounded, and the
+        # error names the budget that ran out; the time limit only guards
+        # against a hang (about 1 s each; unbounded, still running at 20 s)
         start = time.perf_counter()
         try:
             code = cli.run(argv)
         except SystemExit as exc:  # argparse
             code = exc.code
         err = capsys.readouterr().err
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 20
         assert code == want and "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and err.strip().splitlines()[-1] == errors[0]
         assert f"cannot factor {_SEMIPRIME}" in errors[0]
+        assert f"within {_RHO_STEPS} rho steps" in errors[0]
 
     @pytest.mark.parametrize("limit, code", [(667, 0), (666, 1)])
     def test_generator_near_limit_is_expanded(self, capsys, limit, code):

@@ -694,32 +694,6 @@ class TestNegativeAtlas:
             singularity_star(atlas, (CylChamber(lat(1, 0)), 5))
 
 
-def _pair_scan_triples(bound):
-    """Characteristic triples from every (a, b) pair of max-norm <= bound: O(B^4)."""
-    out = set()
-    rng = range(-bound, bound + 1)
-    for m1 in rng:
-        for n1 in rng:
-            a = lat(m1, n1)
-            if a.is_zero():
-                continue
-            for m2 in rng:
-                for n2 in rng:
-                    b = lat(m2, n2)
-                    if a.det(b) != 1:
-                        continue
-                    c = -a - b
-                    if c.max_norm() > bound:
-                        continue
-                    out.add(CharacteristicTriple.make(a, b, c))
-    return sorted(out, key=CharacteristicTriple.sort_key)
-
-
-@pytest.mark.parametrize("bound", range(1, 11))
-def test_coord_triples_match_pair_scan(bound):
-    assert leaf_atlas._coord_triples(bound) == _pair_scan_triples(bound)
-
-
 class TestStarWalkCost:
     """Each germ starts at most one `_other_germ` step; each corner ratio is computed once."""
 

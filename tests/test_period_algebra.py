@@ -23,6 +23,7 @@ from isoleaf.period_algebra import (
     ZeroElement,
     change_basis,
     classify,
+    coordinate_triples,
     enumerate_triples,
     is_primitive,
     mat2_det,
@@ -32,6 +33,7 @@ from isoleaf.period_algebra import (
     symplectic_partner,
     volume,
 )
+from isoleaf import period_algebra
 from isoleaf.period_algebra import _factor, _is_square_free
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,15 @@ class TestFactor:
     @settings(max_examples=200, deadline=None)
     def test_random_matches_sympy(self, n):
         assert _factor(n) == sympy.factorint(n)
+
+    def test_rho_budget_bounds_the_work(self, monkeypatch):
+        # two 10-digit primes take tens of thousands of rho squarings:
+        # within the default budget, far past a budget of 256
+        n = sympy.nextprime(10**9) * sympy.nextprime(3 * 10**9)
+        assert _factor(n) == sympy.factorint(n)
+        monkeypatch.setattr(period_algebra, "_RHO_STEPS", 256)
+        with pytest.raises(InvalidInput, match="within 256 rho steps"):
+            _factor(n)
 
     def test_prime_above_proof_range_raises(self):
         with pytest.raises(InvalidInput):
@@ -464,6 +475,33 @@ class TestTriples:
         n1 = len(enumerate_triples(chi_negative, 1))
         n2 = len(enumerate_triples(chi_negative, 2))
         assert 0 < n1 < n2
+
+    @pytest.mark.parametrize("bound", range(0, 11))
+    def test_partner_enumeration_matches_pair_scan(self, chi_negative, bound):
+        want = _pair_scan_triples(bound)
+        assert coordinate_triples(bound) == want
+        assert enumerate_triples(chi_negative, bound) == want
+
+
+def _pair_scan_triples(bound):
+    """Characteristic triples from every (a, b) pair of max-norm <= bound: O(B^4)."""
+    out = set()
+    rng = range(-bound, bound + 1)
+    for m1 in rng:
+        for n1 in rng:
+            a = LatticeElement(m1, n1)
+            if a.is_zero():
+                continue
+            for m2 in rng:
+                for n2 in rng:
+                    b = LatticeElement(m2, n2)
+                    if a.det(b) != 1:
+                        continue
+                    c = -a - b
+                    if c.max_norm() > bound:
+                        continue
+                    out.add(CharacteristicTriple.make(a, b, c))
+    return sorted(out, key=CharacteristicTriple.sort_key)
 
 
 # ---------------------------------------------------------------------------
