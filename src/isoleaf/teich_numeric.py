@@ -214,31 +214,21 @@ class WeierstrassData:
         if abs(z0) < 1e-10:
             raise PoleAt(f"evaluation at lattice point (offset {abs(z0):.2e})")
 
-    def _wp_reduced(self, z0: complex) -> complex:
+    def _wp_pair_reduced(self, z0: complex) -> tuple[complex, complex]:
+        """``(wp, wp')`` on the reduced lattice, from one Lambert loop."""
         s = cmath.sin(pi * z0)
         total = (pi / s) ** 2 - pi * pi / 3
+        total_prime = -2 * pi**3 * cmath.cos(pi * z0) / s**3
         e = cmath.exp(2j * pi * z0)
         einv = 1 / e
         ek, emk = 1.0 + 0j, 1.0 + 0j
-        acc = 0.0 + 0j
+        acc = acc_prime = 0.0 + 0j
         for k, Qk in enumerate(self._Q, start=1):
             ek *= e
             emk *= einv
             acc += k * Qk * (2 - ek - emk)  # 2 - 2 cos(2 pi k z0)
-        return total + 4 * pi * pi * acc
-
-    def _wp_prime_reduced(self, z0: complex) -> complex:
-        s = cmath.sin(pi * z0)
-        total = -2 * pi**3 * cmath.cos(pi * z0) / s**3
-        e = cmath.exp(2j * pi * z0)
-        einv = 1 / e
-        ek, emk = 1.0 + 0j, 1.0 + 0j
-        acc = 0.0 + 0j
-        for k, Qk in enumerate(self._Q, start=1):
-            ek *= e
-            emk *= einv
-            acc += k * k * Qk * (ek - emk) / 2j  # k^2 Q_k sin(2 pi k z0)
-        return total + 16 * pi**3 * acc
+            acc_prime += k * k * Qk * (ek - emk) / 2j  # k^2 Q_k sin(2 pi k z0)
+        return total + 4 * pi * pi * acc, total_prime + 16 * pi**3 * acc_prime
 
     def _zeta_reduced(self, z0: complex) -> complex:
         s = cmath.sin(pi * z0)
@@ -255,15 +245,18 @@ class WeierstrassData:
 
     # -- public evaluators (original lattice) -----------------------------
 
-    def wp(self, z: complex) -> complex:
+    def wp_pair(self, z: complex) -> tuple[complex, complex]:
+        """``(wp(z), wp'(z))`` in one pass of the series."""
         z0, _, _ = self._reduce_z(z)
         self._pole_check(z0)
-        return self._wp_reduced(z0) / self._lam**2
+        value, slope = self._wp_pair_reduced(z0)
+        return value / self._lam**2, slope / self._lam**3
+
+    def wp(self, z: complex) -> complex:
+        return self.wp_pair(z)[0]
 
     def wp_prime(self, z: complex) -> complex:
-        z0, _, _ = self._reduce_z(z)
-        self._pole_check(z0)
-        return self._wp_prime_reduced(z0) / self._lam**3
+        return self.wp_pair(z)[1]
 
     def wzeta(self, z: complex) -> complex:
         z0, m, n = self._reduce_z(z)
@@ -272,9 +265,31 @@ class WeierstrassData:
         return val / self._lam
 
     def half_period_values(self) -> tuple[complex, complex, complex]:
-        """``wp`` at the three 2-torsion points of ``Z + Z tau``."""
-        t = self.tau
-        return (self.wp(0.5), self.wp(t / 2), self.wp((1 + t) / 2))
+        """``wp`` at the 2-torsion points ``1/2``, ``tau/2``, ``(1+tau)/2``.
+
+        From the theta constants at the reduced nome ``q = e^{i pi tau_r}``
+        (DLMF 23.6.2-4): ``wp_r(1/2) = (pi^2/3)(th2^4 + 2 th4^4)``,
+        ``wp_r(tau_r/2) = -(pi^2/3)(th2^4 + th3^4)`` and
+        ``wp_r((1+tau_r)/2) = (pi^2/3)(th2^4 - th4^4)``.  Five terms of each
+        theta series reach ``|q|^16 < 1e-18`` after reduction.  A half period
+        ``(m + n tau)/2`` of ``Z + Z tau`` is ``lam`` times the reduced half
+        period of parity ``(m a - n b, n d - m c) mod 2``.
+        """
+        q = cmath.exp(1j * pi * self._tau_r)
+        s2 = sum(q ** (n * (n + 1)) for n in range(5))
+        s3 = 1 + 2 * sum(q ** (n * n) for n in range(1, 5))
+        s4 = 1 + 2 * sum((-q) ** (n * n) for n in range(1, 5))
+        th2, th3, th4 = 16 * q * s2**4, s3**4, s4**4
+        by_parity = {
+            (1, 0): pi * pi / 3 * (th2 + 2 * th4),
+            (0, 1): -pi * pi / 3 * (th2 + th3),
+            (1, 1): pi * pi / 3 * (th2 - th4),
+        }
+        a, b, c, d = self._mat
+        lam2 = self._lam**2
+        return tuple(
+            by_parity[(m % 2, n % 2)] / lam2 for m, n in ((a, c), (b, d), (a + b, c + d))
+        )
 
 
 _DATA_CACHE: dict[tuple[complex, float], WeierstrassData] = {}
@@ -287,6 +302,7 @@ def _data(tau: complex, precision: float = 1e-12) -> WeierstrassData:
         if len(_DATA_CACHE) > 256:
             _DATA_CACHE.clear()
         data = WeierstrassData(tau, precision)
+        stats.count("tables")
         _DATA_CACHE[key] = data
     return data
 
@@ -349,49 +365,99 @@ def form_zero(
             "wp target value is a 2-torsion value: double zero"
         )
 
-    def newton(z: complex) -> complex | None:
-        for _ in range(60):
-            try:
-                f = data.wp(z) - target
-            except PoleAt:
-                return None
-            if abs(f) < precision * max(1.0, abs(target)):
-                return z
-            df = data.wp_prime(z)
-            if abs(df) < 1e-14:
-                return None
-            step = -f / df
-            cap = 0.45 * min(1.0, abs(data.tau))
-            if abs(step) > cap:
-                step *= cap / abs(step)
-            z = z + step
-        return None
-
-    seeds: list[complex] = []
-    if seed is not None:
-        seeds.append(complex(seed))
-    else:
-        if abs(target) > 4 * escale:
-            # zero close to the pole: wp(z) ~ 1/z^2
-            root = 1 / cmath.sqrt(target)
-            seeds.extend((root, -root))
-        grid = []
-        G = 14
-        for i in range(G):
-            for j in range(G):
-                z = (i + 0.5) / G + (j + 0.5) / G * data.tau
-                try:
-                    val = data.wp(z)
-                except PoleAt:
-                    continue
-                grid.append((abs(val - target), z))
-        grid.sort(key=lambda item: item[0])
-        seeds.extend(z for _, z in grid[:6])
-    for z in seeds:
-        root = newton(z)
-        if root is not None:
-            return root
+    if seed is None:
+        stats.count("cold_zero_searches")
+        seed = _cold_zero(data.tau, target, halves, pole_side=abs(target) > 4 * escale)
+    z = complex(seed)
+    tol = precision * max(1.0, abs(target))
+    cap = 0.45 * min(1.0, abs(data.tau))
+    for _ in range(60):
+        try:
+            value, slope = data.wp_pair(z)
+        except PoleAt:
+            break
+        f = value - target
+        if abs(f) < tol:
+            return z
+        if abs(slope) < 1e-14:
+            break
+        step = -f / slope
+        if abs(step) > cap:
+            step *= cap / abs(step)
+        z = z + step
     raise NoConvergence("zero search for a + b wp failed")
+
+
+# Carlson's stopping factor (3 r)^(-1/6) for a relative error r = 1e-16
+_RF_SPREAD = (3e-16) ** (-1 / 6)
+
+
+def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's symmetric elliptic integral ``R_F(x, y, z)``.
+
+    Duplication with principal square roots, then the fifth-order series
+    in the elementary symmetric functions of the deviations (B. C.
+    Carlson, Numer. Algorithms 10 (1995) 13-26, algorithm for R_F; valid
+    for complex arguments off the negative real axis, at most one zero).
+    """
+    a0 = a = (x + y + z) / 3
+    dx, dy = a0 - x, a0 - y
+    spread = _RF_SPREAD * max(abs(dx), abs(dy), abs(a0 - z))
+    for _ in range(40):
+        if spread < abs(a):
+            break
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+        spread /= 4
+        dx, dy = dx / 4, dy / 4
+    # deviations of the last step: A_m - x_m = (A_0 - x_0) / 4^m
+    X, Y = dx / a, dy / a
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(a)
+
+
+# the nodes (i + 1/2)/G + (j + 1/2) tau/G of the grid that seeded the zero
+# search before the R_F start; see _cold_zero
+_GRID = 14
+
+
+def _cold_zero(
+    tau: complex, target: complex, halves: Sequence[complex], pole_side: bool
+) -> complex:
+    """A zero of ``wp - target`` from ``z = R_F(target - e_k)`` (DLMF 19.25.35).
+
+    The continuation depends on which representative of ``+-z`` mod
+    ``Z + Z tau`` starts it.  Next to the pole (``pole_side``) that is the
+    one nearest 0; otherwise it is the image of ``+-z`` in the cell
+    ``[0,1) + [0,1) tau`` nearest a node of a 14 x 14 grid of the cell,
+    which is where Newton from the best grid node converges.
+    """
+    e1, e2, e3 = halves
+    z = _carlson_rf(target - e1, target - e2, target - e3)
+    if not cmath.isfinite(z):
+        raise NoConvergence("R_F start of the zero search is not finite")
+    if pole_side:
+        return _align_zero(z, 0j, tau)
+    offset = (1 + tau) / 2
+
+    def node_distance(w: complex) -> float:
+        return abs(_centered(_GRID * w - offset, tau))
+
+    images = []
+    for w in (z, -z):
+        y = w.imag / tau.imag
+        images.append(w - math.floor((w - y * tau).real) - math.floor(y) * tau)
+    return min(images, key=node_distance)
+
+
+def _centered(w: complex, tau: complex) -> complex:
+    """The representative of ``w`` mod ``Z + Z tau`` by rounded coordinates."""
+    n = round(w.imag / tau.imag)
+    w -= n * tau
+    return w - round(w.real)
 
 
 def relative_period(
@@ -773,14 +839,13 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _wall_crossings(
-    path: Sequence[complex], p1: complex, p2: complex
-) -> bool:
-    """Whether a path segment crosses a slit ray ``{s*gamma : s >= 1}``.
+def _wall_crossings(za: complex, zb: complex, p1: complex, p2: complex) -> bool:
+    """Whether the segment ``[za, zb]`` crosses a slit ray ``{s*gamma : s >= 1}``.
 
-    A slit with endpoint ``gamma`` crosses segment ``[za, zb]`` exactly when
-    the lattice point ``gamma`` lies in the closed triangle ``(0, za, zb)``;
-    the origin itself is excluded.
+    A slit with endpoint ``gamma`` crosses the segment exactly when the
+    lattice point ``gamma`` lies in the closed triangle ``(0, za, zb)``; the
+    origin itself is excluded.  A straight path subdivided at any points
+    sweeps the same triangle, so one test covers it.
     """
     det = p1.real * p2.imag - p2.real * p1.imag
     if abs(det) < 1e-12:
@@ -791,55 +856,52 @@ def _wall_crossings(
         n = (p1.real * z.imag - z.real * p1.imag) / det
         return m, n
 
-    for za, zb in zip(path, path[1:]):
-        ax, ay = coords(za)
-        bx, by = coords(zb)
-        cross_ab = ax * by - bx * ay
-        if abs(cross_ab) < 1e-15:
-            continue
-        lo_n = math.floor(min(0.0, ay, by)) - 1
-        hi_n = math.ceil(max(0.0, ay, by)) + 1
-        # P=(m,n) is in triangle(0,A,B) iff the barycentric coordinates
-        # alpha = cross(P,B)/cross(A,B), beta = cross(A,P)/cross(A,B)
-        # satisfy alpha >= 0, beta >= 0, alpha + beta <= 1
-        tol = 1e-9
-        for n in range(lo_n, hi_n + 1):
-            # alpha = (m*by - bx*n)/cross_ab >= -tol etc.: linear in m
-            lo_m, hi_m = -math.inf, math.inf
-            for coeff, const in (
-                (by / cross_ab, -bx * n / cross_ab),  # alpha
-                (-ay / cross_ab, ax * n / cross_ab),  # beta
-            ):
-                if abs(coeff) < 1e-15:
-                    if const < -tol:
-                        lo_m, hi_m = 1.0, 0.0
-                        break
-                    continue
-                bound = (-tol - const) / coeff
-                if coeff > 0:
-                    lo_m = max(lo_m, bound)
-                else:
-                    hi_m = min(hi_m, bound)
-            if lo_m > hi_m:
-                continue
-            # alpha + beta <= 1 + tol
-            coeff = (by - ay) / cross_ab
-            const = (ax - bx) * n / cross_ab
+    ax, ay = coords(za)
+    bx, by = coords(zb)
+    cross_ab = ax * by - bx * ay
+    if abs(cross_ab) < 1e-15:
+        return False
+    lo_n = math.floor(min(0.0, ay, by)) - 1
+    hi_n = math.ceil(max(0.0, ay, by)) + 1
+    # P=(m,n) is in triangle(0,A,B) iff the barycentric coordinates
+    # alpha = cross(P,B)/cross(A,B), beta = cross(A,P)/cross(A,B)
+    # satisfy alpha >= 0, beta >= 0, alpha + beta <= 1
+    tol = 1e-9
+    for n in range(lo_n, hi_n + 1):
+        # alpha = (m*by - bx*n)/cross_ab >= -tol etc.: linear in m
+        lo_m, hi_m = -math.inf, math.inf
+        for coeff, const in (
+            (by / cross_ab, -bx * n / cross_ab),  # alpha
+            (-ay / cross_ab, ax * n / cross_ab),  # beta
+        ):
             if abs(coeff) < 1e-15:
-                if const > 1 + tol:
-                    continue
+                if const < -tol:
+                    lo_m, hi_m = 1.0, 0.0
+                    break
+                continue
+            bound = (-tol - const) / coeff
+            if coeff > 0:
+                lo_m = max(lo_m, bound)
             else:
-                bound = (1 + tol - const) / coeff
-                if coeff > 0:
-                    hi_m = min(hi_m, bound)
-                else:
-                    lo_m = max(lo_m, bound)
-            m_first = math.ceil(lo_m - 1e-12)
-            m_last = math.floor(hi_m + 1e-12)
-            for m in range(m_first, m_last + 1):
-                if m == 0 and n == 0:
-                    continue
-                return True
+                hi_m = min(hi_m, bound)
+        if lo_m > hi_m:
+            continue
+        # alpha + beta <= 1 + tol
+        coeff = (by - ay) / cross_ab
+        const = (ax - bx) * n / cross_ab
+        if abs(coeff) < 1e-15:
+            if const > 1 + tol:
+                continue
+        else:
+            bound = (1 + tol - const) / coeff
+            if coeff > 0:
+                hi_m = min(hi_m, bound)
+            else:
+                lo_m = max(lo_m, bound)
+        m_first = math.ceil(lo_m - 1e-12)
+        m_last = math.floor(hi_m + 1e-12)
+        if any(m or n for m in range(m_first, m_last + 1)):
+            return True
     return False
 
 
@@ -909,12 +971,13 @@ def _raw_wall_trace(
     unit = u_c / abs(u_c)
 
     for _ in range(40):
-        path = [t * u_c - 1j * eps * unit for t in grid]
-        if not _wall_crossings(path, p1, p2):
+        offset = 1j * eps * unit
+        if not _wall_crossings(grid[0] * u_c - offset, grid[-1] * u_c - offset, p1, p2):
             break
         eps /= 2
     else:
         raise NoConvergence("wall offset halving failed to clear slits")
+    path = [t * u_c - 1j * eps * unit for t in grid]
 
     state = _FormState(p1, p2, min(precision, 1e-12))
     z_start = path[0]

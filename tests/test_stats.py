@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from isoleaf import cli, stats
+from isoleaf import cli, stats, teich_numeric
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,8 @@ def test_record_of_each_command(name, atlas_path, tmp_path, capsys, monkeypatch)
     assert cli.run(argv) == 0
     plain = capsys.readouterr().out
     path = tmp_path / "run.json"
+    # a fresh process starts with no Weierstrass tables
+    monkeypatch.setattr(teich_numeric, "_DATA_CACHE", {})
     assert cli.run(["--stats", str(path), *argv]) == 0
     assert capsys.readouterr().out == plain  # stdout does not change with stats on
     rec = json.loads(path.read_text())
@@ -67,9 +69,13 @@ def test_record_of_each_command(name, atlas_path, tmp_path, capsys, monkeypatch)
     if name == "veech":
         # M' = 3 for (t, l, m) = (1, 0, 3) over D = 3; the order divides 3
         assert rec["veech"] == {"modulus": 3, "bound": 3, "exponent": 3}
+    if name in ("trace", "invert"):
+        assert rec["counts"]["tables"] >= 1 and rec["counts"]["cold_zero_searches"] >= 1
     if name == "invert":
-        assert rec["invert"]["strategy"] in ("newton", "homotopy", "continuation")
+        # Newton needs two cold zero searches: at the guess and for the check
+        assert rec["invert"]["strategy"] == "newton"
         assert rec["invert"]["newton_iterations"] >= 1
+        assert rec["counts"]["cold_zero_searches"] == 2
 
 
 def test_environment_variable(tmp_path, capsys, monkeypatch):

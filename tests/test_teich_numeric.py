@@ -18,8 +18,11 @@ from isoleaf.teich_numeric import (
     TeichPoint,
     WeierstrassData,
     _FormState,
+    _carlson_rf,
     _least_squares,
     _newton_track,
+    _trace_grid,
+    _wall_crossings,
     boundary_limit,
     chamber_trace,
     complex_periods,
@@ -364,6 +367,31 @@ class TestColdStart:
             for got, want in zip(data.half_period_values(), expected):
                 assert abs(got - want) < 1e-13 * max(1.0, abs(want)), tau
 
+    def test_carlson_rf_inverts_wp(self):
+        # wp(R_F(c - e1, c - e2, c - e3)) = c (DLMF 19.25.35) for zeros in
+        # the cell, next to the pole and next to each half period
+        rng = np.random.default_rng(37)
+        worst = 0.0
+        for k in range(2400):
+            tau = random_tau(rng)
+            data = WeierstrassData(tau)
+            kind = k % 4
+            if kind == 0:
+                z = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * tau
+            elif kind == 1:
+                z = 1e-6 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            else:
+                h = (0.5, tau / 2, (1 + tau) / 2)[k % 3]
+                z = h + 1e-4 * abs(tau) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            try:
+                c = data.wp(z)
+            except PoleAt:
+                continue
+            e1, e2, e3 = data.half_period_values()
+            root = _carlson_rf(c - e1, c - e2, c - e3)
+            worst = max(worst, abs(data.wp(root) - c) / abs(c))
+        assert worst < 1e-12
+
     def test_cold_zero_matches_grid_search(self):
         rng = np.random.default_rng(43)
         rejected = 0
@@ -572,6 +600,48 @@ class TestNewtonTrack:
         with pytest.raises(NoConvergence, match="iteration limit"):
             _newton_track(state, w0 + 0.05, 1e-9, 1.0, max_iter=1)
         assert state.tau == 1.2j and state.dw is None
+
+
+def fan_crossings(path, p1, p2):
+    """The per-segment scan: a slit crosses the path iff it crosses one of
+    the fan triangles ``(0, z_k, z_k+1)``."""
+    return any(_wall_crossings(za, zb, p1, p2) for za, zb in zip(path, path[1:]))
+
+
+class TestWallCrossings:
+    # the three benchmark leaves (1, g2) and a sheared, flat lattice
+    LATTICES = [(1, 1j), (1, 0.5 + 1j), (1, -0.25 + 1.25j), (1, 2.3 + 0.15j)]
+
+    def test_wall_paths_match_the_fan(self):
+        grid = _trace_grid([4.0 * 2**k for k in range(7)], 256.0)
+        rng = np.random.default_rng(53)
+        outcomes = set()
+        for p1, p2 in self.LATTICES:
+            for _ in range(40):
+                p, q = (int(c) for c in rng.integers(-4, 5, size=2))
+                if math.gcd(p, q) != 1:
+                    continue
+                u_c = p * p1 + q * p2
+                unit = u_c / abs(u_c)
+                eps = abs(u_c) / 64 / 2 ** rng.integers(0, 14)
+                path = [t * u_c - 1j * eps * unit for t in grid[: rng.integers(2, len(grid) + 1)]]
+                fan = fan_crossings(path, p1, p2)
+                assert _wall_crossings(path[0], path[-1], p1, p2) == fan, (p1, p2, p, q, eps)
+                outcomes.add(fan)
+        assert outcomes == {True, False}
+
+    def test_random_straight_paths_match_the_fan(self):
+        rng = np.random.default_rng(59)
+        outcomes = set()
+        for p1, p2 in self.LATTICES:
+            for _ in range(200):
+                za, zb = (complex(*rng.uniform(-6, 6, size=2)) for _ in range(2))
+                cuts = np.sort(rng.uniform(0, 1, size=rng.integers(0, 12)))
+                path = [za] + [za + s * (zb - za) for s in cuts] + [zb]
+                fan = fan_crossings(path, p1, p2)
+                assert _wall_crossings(za, zb, p1, p2) == fan, (p1, p2, za, zb)
+                outcomes.add(fan)
+        assert outcomes == {True, False}
 
 
 class TestChamberTrace:
