@@ -419,45 +419,22 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(a)
 
 
-# the nodes (i + 1/2)/G + (j + 1/2) tau/G of the grid that seeded the zero
-# search before the R_F start; see _cold_zero
-_GRID = 14
-
-
 def _cold_zero(
     tau: complex, target: complex, halves: Sequence[complex], pole_side: bool
 ) -> complex:
     """A zero of ``wp - target`` from ``z = R_F(target - e_k)`` (DLMF 19.25.35).
 
     The continuation depends on which representative of ``+-z`` mod
-    ``Z + Z tau`` starts it.  Next to the pole (``pole_side``) that is the
-    one nearest 0; otherwise it is the image of ``+-z`` in the cell
-    ``[0,1) + [0,1) tau`` nearest a node of a 14 x 14 grid of the cell,
-    which is where Newton from the best grid node converges.
+    ``Z + Z tau`` starts it, through the period translate of the relative
+    period it commits.  Next to the pole (``pole_side``) that is the one
+    nearest 0, otherwise the one nearest the centre of the cell
+    ``[0,1) + [0,1) tau``.
     """
     e1, e2, e3 = halves
     z = _carlson_rf(target - e1, target - e2, target - e3)
     if not cmath.isfinite(z):
         raise NoConvergence("R_F start of the zero search is not finite")
-    if pole_side:
-        return _align_zero(z, 0j, tau)
-    offset = (1 + tau) / 2
-
-    def node_distance(w: complex) -> float:
-        return abs(_centered(_GRID * w - offset, tau))
-
-    images = []
-    for w in (z, -z):
-        y = w.imag / tau.imag
-        images.append(w - math.floor((w - y * tau).real) - math.floor(y) * tau)
-    return min(images, key=node_distance)
-
-
-def _centered(w: complex, tau: complex) -> complex:
-    """The representative of ``w`` mod ``Z + Z tau`` by rounded coordinates."""
-    n = round(w.imag / tau.imag)
-    w -= n * tau
-    return w - round(w.real)
+    return _align_zero(z, 0j if pole_side else (1 + tau) / 2, tau)
 
 
 def relative_period(
