@@ -432,8 +432,6 @@ def _cold_zero(
     """
     e1, e2, e3 = halves
     z = _carlson_rf(target - e1, target - e2, target - e3)
-    if not cmath.isfinite(z):
-        raise NoConvergence("R_F start of the zero search is not finite")
     return _align_zero(z, 0j if pole_side else (1 + tau) / 2, tau)
 
 
