@@ -7,10 +7,15 @@ computes that correspondence numerically:
 
 * :class:`WeierstrassData` evaluates ``wp``, ``wp'`` and ``zeta`` by
   q-series after reducing ``tau`` to the standard fundamental domain, with
-  the quasi-periods mapped back through the modular transformation;
+  the quasi-periods mapped back through the modular transformation; ``wp``
+  and ``wp'`` share one pass of the series, and the half-period values
+  ``e_k`` come from the theta constants at the reduced nome;
 * :func:`solve_form` recovers ``(a, b)`` from the two target periods;
-* :func:`relative_period` locates a zero of ``a + b wp`` and integrates the
-  differential between the two zeros;
+* :func:`form_zero` locates a zero of ``a + b wp``: by Newton from the
+  previous zero along a path, or, with none, from Carlson's closed-form
+  inverse ``z = R_F(c - e1, c - e2, c - e3)`` of ``wp(z) = c = -a/b``;
+* :func:`relative_period` integrates the differential between the two
+  zeros;
 * :func:`leaf_to_teich` inverts the correspondence by damped Newton
   iteration with path continuation.  The relative period ``w(tau)`` is
   holomorphic, so Newton takes ``dw/dtau`` from the secant of its last
@@ -349,8 +354,11 @@ def form_zero(
 ) -> complex:
     """One zero ``z0`` of ``a + b wp`` (the other is ``-z0`` mod lattice).
 
-    Raises :class:`NoDoubleZeroSplit` when the zero is double (2-torsion
-    target value) or when ``b = 0`` (no zeros at all).
+    Newton on ``wp(z) = -a/b`` starts at ``seed``, or without one at the
+    closed-form zero of :func:`_cold_zero`.  Raises
+    :class:`NoDoubleZeroSplit` when the zero is double (2-torsion target
+    value) or when ``b = 0`` (no zeros at all), and :class:`NoConvergence`
+    when Newton fails.
     """
     data = _data(tau, precision)
     scale = max(1.0, abs(a))
