@@ -924,6 +924,14 @@ class TestAtlasJson:
             )
             assert s1 == s2
 
+    def test_completeness_survives_the_roundtrip(self):
+        atlases = self.atlases() + [build_positive(3)]
+        for atlas in atlases:
+            rebuilt = atlas_from_json_dict(json.loads(json.dumps(atlas_to_json_dict(atlas))))
+            assert len(rebuilt.complete) == len(atlas.chambers)
+            assert rebuilt.complete == atlas.complete
+        assert sum(atlases[-1].complete.values()) == 32  # every cylinder chamber
+
     def test_integers_as_decimal_strings(self):
         d = atlas_to_json_dict(build_arithmetic(2))
         assert d["bound"] == "2"

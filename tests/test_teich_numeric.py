@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoleaf import stats
 from isoleaf.period_algebra import InvalidInput, PeriodCharacter, WrongLeafKind
 from isoleaf.teich_numeric import (
     DegenerateSystem,
@@ -45,6 +46,7 @@ CHI_POS = PeriodCharacter.gaussian((1, 0), (0, 1))
 CHI_NEG = PeriodCharacter.gaussian((1, 0), (0, -1))
 CHI_ARITH = PeriodCharacter.gaussian((1, 0), (0, 0))
 CHI_NONARITH = PeriodCharacter.quadratic(2, (1, 0), (0, 1))
+CHI_SKEW = PeriodCharacter.gaussian((1, 0), (Fraction(-1, 4), Fraction(5, 4)))
 
 # strategy: tau well inside the standard fundamental-domain box
 taus = st.tuples(
@@ -459,6 +461,31 @@ class TestLeafInversion:
                 except NoConvergence:
                     failures += 1
         assert failures <= 28
+
+    @pytest.mark.parametrize(
+        "z, guess",
+        [
+            (-0.21679980021930967 + 0.9883734034787558j, 0.80648179012625 + 2.8811626551819036j),
+            (-0.1089178905321335 + 1.369457481965759j, 0.9684027411299567 + 1.9746495824526407j),
+            (-0.0506930279566115 + 1.2352009259732917j, 0.582738655895259 + 2.703835795110629j),
+        ],
+    )
+    def test_centre_fallback_keeps_the_sign(self, z, guess):
+        # Newton and the homotopy fail from these guesses; the walk out of
+        # the flat centre must end at +-z, whichever sign its first lift
+        # takes (a lift to -0.2 z once ended the walk at 0.6 z)
+        p1, p2 = complex_periods(CHI_SKEW)
+        with stats.collect() as rec:
+            point = leaf_to_teich(CHI_SKEW, z, guess)
+        assert rec["invert"]["strategy"] == "continuation"
+        z_back = leaf_coordinate(CHI_SKEW, point.tau)
+        best = min(
+            abs(z_back - s * z - m * p1 - n * p2)
+            for s in (1, -1)
+            for m in range(-2, 3)
+            for n in range(-2, 3)
+        )
+        assert best < 5e-10
 
     def test_coordinate_round_trips_all_kinds(self):
         # invert, then evaluate the coordinate again; agreement is up to

@@ -504,6 +504,38 @@ class TestGroupContains:
         assert not group_contains(desc, ((2, 1), (1, 1)))
 
 
+    def test_quadratic_powers_without_cap(self):
+        from isoleaf.veech import _as_frac_matrix, _mat_inv, module_matrix
+
+        chi = PeriodCharacter.quadratic(2, (1, 0), (0, 1))
+        desc = veech_group(chi)
+        G = _as_frac_matrix(desc.matrix)
+
+        def power(X, k):
+            P = _as_frac_matrix(((1, 0), (0, 1)))
+            for _ in range(k):
+                P = mat2_mul(P, X)
+            return P
+
+        def neg(X):
+            return tuple(tuple(-x for x in row) for row in X)
+
+        for k in (0, 1, 511, 512, 600):
+            for base in (G, _mat_inv(G)):
+                P = power(base, k)
+                assert group_contains(desc, P), k
+                assert group_contains(desc, neg(P)), k
+                if k:
+                    # det 1 and integral, but it does not commute with G
+                    assert not group_contains(desc, mat2_mul(P, ((1, 1), (0, 1)))), k
+        # the trace of G but not commuting with it
+        assert not group_contains(desc, ((5, 4), (1, 1)))
+        # commutes with G and has det 1, but is 11/7 + 6/7 sqrt 2, no unit
+        assert not group_contains(desc, module_matrix(2, desc.tau, (Fraction(11, 7), Fraction(6, 7))))
+        # the square root of G: det -1
+        assert not group_contains(desc, module_matrix(2, desc.tau, (1, 1)))
+
+
 class TestGammaElement:
     def test_square_identity(self):
         for D in (2, 3, 5, 13):
