@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--epsilon", type=_finite_float, help="wall offset (default chosen by the tracer)"
     )
-    sub.add_argument("--horizon", type=_finite_float, help="lattice-sum truncation override")
+    sub.add_argument("--horizon", type=_finite_float, help="continue the trace grid up to this t")
     sub.add_argument("--out", default="-", help="output path, - for stdout")
     sub.set_defaults(handler=_cmd_teich_trace, command_name="teich trace")
 

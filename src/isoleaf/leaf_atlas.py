@@ -310,7 +310,6 @@ class Atlas:
     truncated: list
     singularities: list
     center: Singularity | None = None
-    complete: dict = field(default_factory=dict)
     _germ_index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -324,6 +323,14 @@ class Atlas:
                 self._germ_index[(seg.chamber, seg.part, _fe_key(seg.lo), +1)] = g
             if seg.hi is not None:
                 self._germ_index[(seg.chamber, seg.part, _fe_key(seg.hi), -1)] = g
+
+    @property
+    def complete(self) -> dict:
+        """Chamber -> whether the chamber is complete: the cylinder chambers of
+        the positive leaf and the degenerate chambers of the negative leaf."""
+        if self.kind == "positive":
+            return {c: not isinstance(c, TorusChamber) for c in self.chambers}
+        return {c: self.kind == "negative" and isinstance(c, DegChamber) for c in self.chambers}
 
     def glued_segments(self):
         return [g.seg_a for g in self.gluings]
@@ -420,7 +427,6 @@ def build_positive(bound: int) -> Atlas:
         gluings=gluings,
         truncated=[],
         singularities=[],
-        complete={c: not isinstance(c, TorusChamber) for c in chambers},
     )
     reps = sorted(
         {pm_representative(u) for u in prims}, key=lambda u: (u.max_norm(), u.m, u.n)
@@ -491,7 +497,6 @@ def build_negative(bound: int) -> Atlas:
         gluings=gluings,
         truncated=_cyl_truncation_rays(records, Q),
         singularities=[],
-        complete={c: isinstance(c, DegChamber) for c in chambers},
     )
     _collect_stars(atlas)
     return atlas
@@ -653,7 +658,6 @@ def build_arithmetic(kmax: int) -> Atlas:
         gluings=gluings,
         truncated=_arith_truncation_rays(gluings),
         singularities=[],
-        complete={c: False for c in chambers},
     )
     _collect_stars(atlas)
     return atlas
@@ -774,7 +778,6 @@ def build_nonarith(theta, bound: int) -> Atlas:
         gluings=gluings,
         truncated=[],
         singularities=[],
-        complete={c: False for c in chambers},
     )
     _collect_stars(atlas)
     return atlas
@@ -1566,7 +1569,6 @@ def atlas_from_json_dict(data: dict) -> Atlas:
         gluings=gluings,
         truncated=truncated,
         singularities=[],
-        complete={},
     )
     if kind == "positive":
         # stars of the positive atlas live at every enumerated tip pair

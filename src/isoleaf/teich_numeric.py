@@ -17,11 +17,14 @@ computes that correspondence numerically:
 * :func:`relative_period` integrates the differential between the two
   zeros;
 * :func:`leaf_to_teich` inverts the correspondence by damped Newton
-  iteration with path continuation.  The relative period ``w(tau)`` is
-  holomorphic, so Newton takes ``dw/dtau`` from the secant of its last
-  accepted step and carries it along the path (across iterations and trace
-  grid points); it takes a central difference only when no slope is known
-  or when damping fails with the carried one;
+  iteration along a path of leaf points.  One follower, :func:`_follow`,
+  serves its three strategies and the chamber traces: it lifts the first
+  point to the branch of the coordinate at the start (:func:`_lift`, the
+  one rule for the sign and period ambiguity) and tracks the rest.  The
+  relative period ``w(tau)`` is holomorphic, so Newton takes ``dw/dtau``
+  from the secant of its last accepted step and carries it along the path;
+  it takes a central difference only when no slope is known or when
+  damping fails with the carried one;
 * :func:`chamber_trace` follows a cylinder-chamber wall inside the leaf and
   reports the normalized Teichmueller trace ``sigma(t)``, which stays within
   bounded hyperbolic distance of the model curve ``t + i log t``;
@@ -193,8 +196,8 @@ class WeierstrassData:
             self._eta2_r = 2 * self._zeta_reduced(tau_r / 2)
         except (OverflowError, ZeroDivisionError):
             raise InvalidInput(
-                f"tau={tau!r} is too close to the real axis for double precision "
-                f"(reduced Im tau = {tau_r.imag:.3g})"
+                f"tau={tau!r} lies too close to a cusp: its reduced Im tau = "
+                f"{tau_r.imag:.3g} is past the double-precision range (about 237)"
             ) from None
         legendre = self._eta1_r * tau_r - self._eta2_r
         # written so that a nan residual fails too
@@ -440,7 +443,7 @@ def _cold_zero(
     """
     e1, e2, e3 = halves
     z = _carlson_rf(target - e1, target - e2, target - e3)
-    return _align_zero(z, 0j if pole_side else (1 + tau) / 2, tau)
+    return _lift(z, 0j if pole_side else (1 + tau) / 2, 1, tau)[1]
 
 
 def relative_period(
@@ -468,15 +471,37 @@ def complex_periods(chi: PeriodCharacter) -> tuple[complex, complex]:
 # -- leaf <-> Teichmueller inversion ---------------------------------------
 
 
-def _lattice_reduce(z: complex, p1: complex, p2: complex) -> tuple[complex, int, int]:
-    """Closest representative of ``z`` modulo ``Z p1 + Z p2`` (if a lattice)."""
+def _lift(
+    z: complex, w0: complex, p1: complex, p2: complex, signs: tuple[int, ...] = (1, -1)
+) -> tuple[int, complex]:
+    """``(s, s z + lam)``: the representative of ``+-z`` modulo
+    ``Z p1 + Z p2`` nearest ``w0``, and its sign.
+
+    Relative periods, and the zeros ``+-z0`` of ``a + b wp`` modulo
+    ``Z + Z tau``, are defined up to sign and periods; lifting to the
+    representative nearest the previous one keeps a continuation on one
+    branch.  On a rank-2 lattice the row nearest ``w0`` is rounded first,
+    then the point in it, in the coordinate ``(s z - w0)/p1`` with basis
+    ``(1, p2/p1)``; ``signs[0] z`` itself stays a candidate.  Degenerate
+    spans (one period zero, or both real) enumerate small offsets instead.
+    """
     det = p1.real * p2.imag - p2.real * p1.imag
-    if abs(det) < 1e-12:
-        return z, 0, 0
-    m = (z.real * p2.imag - p2.real * z.imag) / det
-    n = (p1.real * z.imag - z.real * p1.imag) / det
-    mi, ni = round(m), round(n)
-    return z - mi * p1 - ni * p2, mi, ni
+    t = p2 / p1 if abs(det) > 1e-12 else None
+    best = signs[0], signs[0] * z
+    dist = abs(best[1] - w0)
+    for s in signs:
+        base = s * z
+        if t is None:
+            offsets = [(m, n) for m in range(-4, 5) for n in range(-4, 5)]
+        else:
+            d = (base - w0) / p1
+            n = round(d.imag / t.imag)
+            offsets = [(round((d - n * t).real), n)]
+        for m, n in offsets:
+            cand = base - m * p1 - n * p2
+            if abs(cand - w0) < dist:
+                best, dist = (s, cand), abs(cand - w0)
+    return best
 
 
 class _FormState:
@@ -489,9 +514,7 @@ class _FormState:
     """
 
     def __init__(self, p1: complex, p2: complex, precision: float):
-        self.p1 = p1
-        self.p2 = p2
-        self.precision = precision
+        self.p1, self.p2, self.precision = p1, p2, precision
         self.tau: complex | None = None
         self.z0: complex | None = None
         self.w: complex | None = None
@@ -503,7 +526,7 @@ class _FormState:
         seed = self.z0
         z0 = form_zero(tau, a, b, self.precision, seed=seed)
         if seed is not None:
-            z0 = _align_zero(z0, seed, tau)
+            z0 = _lift(z0, seed, 1, tau)[1]
         return 2 * a * z0 - 2 * b * _data(tau, self.precision).wzeta(z0), z0
 
     def start(self, tau: complex) -> complex:
@@ -522,26 +545,6 @@ class _FormState:
         except (NoDoubleZeroSplit, NoConvergence) as exc:
             raise NoConvergence(f"derivative evaluation failed: {exc}", trace)
         return (wp_ - wm_) / (2 * h)
-
-
-def _align_zero(z0: complex, seed: complex, tau: complex) -> complex:
-    """Representative of ``{+-z0 mod Z + Z tau}`` closest to ``seed``.
-
-    The two zeros of ``a + b wp`` are ``+-z0`` modulo the curve lattice;
-    picking the representative nearest the previous zero keeps the
-    continuation on one branch, so the tracked relative period stays
-    continuous (a sign or lattice jump would silently switch sheets).
-    """
-    best = z0
-    for s in (1, -1):
-        base = s * z0
-        d = base - seed
-        n = round(d.imag / tau.imag)
-        m = round((d - n * tau).real)
-        cand = base - m - n * tau
-        if abs(cand - seed) < abs(best - seed):
-            best = cand
-    return best
 
 
 def _newton_track(
@@ -597,52 +600,44 @@ def _newton_track(
     raise NoConvergence("Newton iteration limit reached", trace)
 
 
-def _match_target(
-    w0: complex,
-    z_rel: complex,
+def _follow(
     p1: complex,
     p2: complex,
-    signs: tuple[int, ...] = (1, -1),
-) -> complex:
-    """Lift ``z_rel`` (mod sign and periods) to the branch nearest ``w0``.
+    tau0: complex,
+    path: Sequence[complex],
+    precision: float,
+    steps: int = 1,
+    trace: list | None = None,
+) -> list[complex]:
+    """Newton continuation of ``tau`` from ``tau0`` along the leaf points
+    ``path``; returns the ``tau`` of each point.
 
-    When the periods span a rank-2 lattice the closest translate comes from
-    exact lattice reduction.  Degenerate spans (one period zero, or both
-    real) still carry the translation ambiguity, so small integer offsets
-    are enumerated directly; their nonzero combinations stay well above
-    any sensible guess error, so the match cannot slip to a wrong sheet.
+    One lift of ``path[0]`` to the branch of the coordinate at ``tau0``
+    fixes a sign ``s`` and a period shift, and every point ``z`` is tracked
+    at ``s z + shift``.  The lifted first point is reached in ``steps``
+    straight sub-steps from the coordinate at ``tau0``.
     """
-    det = p1.real * p2.imag - p2.real * p1.imag
-    best = None
-    for s in signs:
-        base = s * z_rel
-        if abs(det) > 1e-12:
-            _, mi, ni = _lattice_reduce(base - w0, p1, p2)
-            cands = [base - mi * p1 - ni * p2]
-        else:
-            cands = [
-                base - m * p1 - n * p2
-                for m in range(-4, 5)
-                for n in range(-4, 5)
-            ]
-        for cand in cands:
-            if best is None or abs(cand - w0) < abs(best - w0):
-                best = cand
-    return best
-
-
-def _center_tau(p1: complex, p2: complex) -> complex | None:
-    """Modulus of the zero-free (flat) point of the leaf, if it exists."""
-    if p1 == 0:
-        return None
-    tau0 = p2 / p1
-    return tau0 if tau0.imag > 0 else None
+    state = _FormState(p1, p2, min(precision, 1e-12))
+    scale = max(1.0, abs(p1), abs(p2))
+    w0 = state.start(tau0)
+    # the fresh zero search may compute the coordinate with either global
+    # sign; tracking -z visits the same moduli but mirrors the slit side,
+    # so fold the sign into the requested path instead of the lift
+    s, first = _lift(path[0], w0, p1, p2)
+    shift = first - s * path[0]
+    for k in range(1, steps):
+        _newton_track(state, w0 + k / steps * (first - w0), precision, scale, trace=trace)
+    taus = [_newton_track(state, first, precision, scale, trace=trace)]
+    for z in path[1:]:
+        taus.append(_newton_track(state, s * z + shift, precision, scale, trace=trace))
+    return taus
 
 
 def _center_seed(p1: complex, p2: complex, z: complex) -> complex | None:
-    """Quadratic model of tau near the flat center: tau0 + 2 pi i z^2/(16 p1^2)."""
-    tau0 = _center_tau(p1, p2)
-    if tau0 is None:
+    """Quadratic model ``tau0 + 2 pi i z^2/(16 p1^2)`` of tau near the flat
+    center ``tau0 = p2/p1``; ``None`` when the leaf has no flat center."""
+    tau0 = p2 / p1 if p1 else 0j
+    if not tau0.imag > 0:
         return None
     tau = tau0 + TWO_PI_I * z * z / (16 * p1 * p1)
     if tau.imag <= 0:
@@ -655,32 +650,24 @@ def leaf_to_teich(
     z_rel: complex,
     tau_guess: complex,
     precision: float = 1e-9,
-    max_iter: int = 80,
 ) -> TeichPoint:
     """Invert the leaf coordinate: the ``tau`` whose differential with the
     periods of ``chi`` has relative period ``z_rel`` (mod sign and periods).
 
-    Raises :class:`NoDoubleZeroSplit` at the completion points (``z_rel``
-    in the period lattice: flat center or slit tips) and
-    :class:`NoConvergence` with the Newton trace otherwise on failure.
+    Three strategies run :func:`_follow` in turn until one lands on a
+    ``tau`` whose coordinate reproduces ``z_rel``: ``newton`` from the
+    guess, ``homotopy`` (the target slides from the coordinate at the
+    guess to ``z_rel`` in 16 steps) and, on leaves with a flat center,
+    ``continuation`` (the walk from ``0.2 z_rel`` near the center out to
+    ``z_rel``).  Raises :class:`NoDoubleZeroSplit` at the completion points
+    (``z_rel`` in the period lattice: flat center or slit tips) and
+    :class:`NoConvergence` with the shared Newton trace when all fail.
     """
     p1, p2 = complex_periods(chi)
     z = complex(z_rel)
     scale = max(1.0, abs(p1), abs(p2))
-    det = p1.real * p2.imag - p2.real * p1.imag
-    if abs(det) > 1e-12:
-        reduced, _, _ = _lattice_reduce(z, p1, p2)
-        near_lattice = abs(reduced) < 1e-10 * scale
-    else:
-        near_lattice = any(
-            abs(z - m * p1 - n * p2) < 1e-10 * scale
-            for m in range(-4, 5)
-            for n in range(-4, 5)
-        )
-    if near_lattice:
-        raise NoDoubleZeroSplit(
-            "z_rel lies in the period lattice: leaf completion point"
-        )
+    if abs(_lift(z, 0, p1, p2, (1,))[1]) < 1e-10 * scale:
+        raise NoDoubleZeroSplit("z_rel lies in the period lattice: leaf completion point")
     tau = complex(tau_guess)
     if not tau.imag > 0:
         raise InvalidInput("tau_guess must lie in the upper half plane")
@@ -691,56 +678,24 @@ def leaf_to_teich(
         if seed is not None:
             tau = seed
 
-    state = _FormState(p1, p2, min(precision, 1e-12))
+    strategies = [("newton", tau, [z], 1), ("homotopy", tau, [z], 16)]
+    center = _center_seed(p1, p2, 0.2 * z)
+    if center is not None:
+        strategies.append(("continuation", center, [(0.2 + 0.05 * k) * z for k in range(17)], 1))
     trace: list = []
-    try:
-        w0 = state.start(tau)
-        target = _match_target(w0, z, p1, p2)
-        tau_out = _newton_track(state, target, precision, scale, max_iter, trace)
-        if _inversion_verified(p1, p2, z, tau_out, precision):
-            stats.record("invert", {"strategy": "newton", "newton_iterations": len(trace)})
+    for name, tau0, path, steps in strategies:
+        try:
+            tau_out = _follow(p1, p2, tau0, path, precision, steps, trace)[-1]
+        except (NoConvergence, NoDoubleZeroSplit):
+            continue
+        if _inversion_verified(chi, z, tau_out, precision):
+            stats.record("invert", {"strategy": name, "newton_iterations": len(trace)})
             return TeichPoint(tau_out)
-    except (NoConvergence, NoDoubleZeroSplit):
-        pass
-
-    # homotopy fallback: slide the target from the guess coordinate to z
-    # along a straight segment, staying on the tracked zero branch
-    try:
-        state = _FormState(p1, p2, min(precision, 1e-12))
-        w0 = state.start(tau)
-        target = _match_target(w0, z, p1, p2)
-        for k in range(1, 17):
-            tau_h = _newton_track(
-                state, w0 + k / 16 * (target - w0), precision, scale,
-                max_iter, trace,
-            )
-        if _inversion_verified(p1, p2, z, tau_h, precision):
-            stats.record("invert", {"strategy": "homotopy", "newton_iterations": len(trace)})
-            return TeichPoint(tau_h)
-    except (NoConvergence, NoDoubleZeroSplit):
-        pass
-
-    # continuation fallback: walk from a small multiple of z_rel outwards
-    seed = _center_seed(p1, p2, 0.2 * z)
-    if seed is None:
-        raise NoConvergence("Newton failed and no center continuation", trace)
-    state = _FormState(p1, p2, min(precision, 1e-12))
-    w0 = state.start(seed)
-    target0 = _match_target(w0, 0.2 * z, p1, p2)
-    shift = target0 - 0.2 * z
-    for k in range(17):
-        target = (0.2 + 0.05 * k) * z + shift
-        tau = _newton_track(state, target, precision, scale, max_iter, trace)
-    if not _inversion_verified(p1, p2, z, tau, precision):
-        raise NoConvergence(
-            "inversion landed on a distant translate of the coordinate", trace
-        )
-    stats.record("invert", {"strategy": "continuation", "newton_iterations": len(trace)})
-    return TeichPoint(tau)
+    raise NoConvergence("no strategy landed on a tau that reproduces the coordinate", trace)
 
 
 def _inversion_verified(
-    p1: complex, p2: complex, z: complex, tau_out: complex, precision: float
+    chi: PeriodCharacter, z: complex, tau_out: complex, precision: float
 ) -> bool:
     """Check that ``tau_out`` reproduces ``z`` up to sign and a short
     period translation.
@@ -751,10 +706,10 @@ def _inversion_verified(
     wandered to another sheet and the result should not be accepted.
     """
     try:
-        a, b = solve_form(tau_out, p1, p2, min(precision, 1e-12))
-        zb = relative_period(tau_out, a, b, min(precision, 1e-12))
+        zb = leaf_coordinate(chi, tau_out, min(precision, 1e-12))
     except IsoleafError:
         return False
+    p1, p2 = complex_periods(chi)
     tol = max(1e-6, 1e3 * precision) * max(1.0, abs(z))
     best = min(
         abs(zb - s * z - m * p1 - n * p2)
@@ -961,27 +916,11 @@ def _raw_wall_trace(
     else:
         raise NoConvergence("wall offset halving failed to clear slits")
     path = [t * u_c - 1j * eps * unit for t in grid]
-
-    state = _FormState(p1, p2, min(precision, 1e-12))
-    z_start = path[0]
-    tau = _center_seed(p1, p2, z_start)
-    if tau is None:
+    tau0 = _center_seed(p1, p2, path[0])
+    if tau0 is None:
         raise WrongLeafKind("trace requires a leaf with a flat center point")
-    scale = max(1.0, abs(p1), abs(p2))
-    w0 = state.start(tau)
-    # the fresh zero search may compute the coordinate with either global
-    # sign; tracking -z visits the same moduli but mirrors the slit side,
-    # so fold the sign into the requested path instead of the lift
-    sign = 1 if abs(w0 - z_start) <= abs(w0 + z_start) else -1
-    target0 = _match_target(w0, sign * z_start, p1, p2, signs=(1,))
-    shift = target0 - sign * z_start
-
-    raw: list[tuple[float, complex]] = []
-    for t, z in zip(grid, path):
-        target = sign * z + shift
-        tau = _newton_track(state, target, precision, scale)
-        raw.append((float(t), tau))
-    return eps, raw
+    taus = _follow(p1, p2, tau0, path, precision)
+    return eps, [(float(t), tau) for t, tau in zip(grid, taus)]
 
 
 def chamber_trace(
@@ -995,8 +934,8 @@ def chamber_trace(
     """Trace the wall of the cylinder chamber with core ``u`` into ``H^2``.
 
     Follows the leaf points ``z = t u - i eps u/|u|`` just inside the
-    adjacent torus chamber, maps them through :func:`leaf_to_teich`
-    continuation, and applies the exact integral chamber normalization: the
+    adjacent torus chamber, follows them with the Newton continuation of
+    :func:`leaf_to_teich`, and applies the exact integral chamber normalization: the
     change of marking to the basis ``(u, v)``, which sends the chamber's
     boundary limit to ``infinity``.
     """

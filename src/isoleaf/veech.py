@@ -466,20 +466,17 @@ def group_contains(descriptor, matrix) -> bool:
         s = A[0][0]
         return s in (1, -1) and A[1][0] == 0 and s * A[1][1] > 0
     if isinstance(descriptor, QuadraticV):
-        if mat2_det(A) != 1:
+        # an A of det 1 that commutes with the hyperbolic G is x + y G with
+        # x + y lam of norm 1 (lam an eigenvalue of G), so tr A fixes it up
+        # to inversion: A is +-G^n or +-G^-n iff |tr A| = |V_n| for the Lucas
+        # sequence V_0 = 2, V_1 = tr G, V_n+1 = tr G V_n - V_n-1, whose terms
+        # grow strictly in absolute value because |tr G| > 2
+        G = _as_frac_matrix(descriptor.matrix)
+        if mat2_det(A) != 1 or mat2_mul(A, G) != mat2_mul(G, A):
             return False
-        if all(x.denominator == 1 for row in A for x in row):
-            G = _as_frac_matrix(descriptor.matrix)
-            minus = _as_frac_matrix(((-1, 0), (0, -1)))
-            for base in (G, _mat_inv(G)):
-                P = _as_frac_matrix(((1, 0), (0, 1)))
-                for _ in range(512):
-                    if P == A or mat2_mul(minus, P) == A:
-                        return True
-                    if max(abs(x) for row in P for x in row) > 4 * max(
-                        1, max(abs(x) for row in A for x in row)
-                    ):
-                        break
-                    P = mat2_mul(P, base)
-        return False
+        t, target = G[0][0] + G[1][1], abs(A[0][0] + A[1][1])
+        v, v_next = 2, t
+        while abs(v) < target:
+            v, v_next = v_next, t * v_next - v
+        return abs(v) == target
     raise IsoleafError(f"unknown descriptor {descriptor!r}")

@@ -21,6 +21,7 @@ from isoleaf.teich_numeric import (
     _FormState,
     _carlson_rf,
     _least_squares,
+    _lift,
     _newton_track,
     _trace_grid,
     _wall_crossings,
@@ -116,11 +117,11 @@ class TestWeierstrass:
                 assert abs(wp(z, tau) - lattice_sum_wp(z, tau)) < 5e-4
                 assert abs(wzeta(z, tau) - lattice_sum_zeta(z, tau)) < 5e-5
 
-    @pytest.mark.parametrize("tau", [1.2e-7j, 0.004j, 1 / 240 * 1j])
+    @pytest.mark.parametrize("tau", [1.2e-7j, 0.004j, 1 / 240 * 1j, 240j, 0.5 + 0.001j])
     def test_modulus_past_double_range_is_typed(self, tau):
-        # the reduced modulus -1/tau has Im above 237, where the series
-        # overflow in double precision
-        with pytest.raises(InvalidInput):
+        # the reduced modulus has Im above 237, where the series overflow in
+        # double precision: near the cusp 0, 1/2 or infinity
+        with pytest.raises(InvalidInput, match="too close to a cusp"):
             WeierstrassData(tau)
 
     @pytest.mark.parametrize("height", [10, 20, 30, 50, 100, 150, 200])
@@ -627,6 +628,84 @@ class TestNewtonTrack:
         with pytest.raises(NoConvergence, match="iteration limit"):
             _newton_track(state, w0 + 0.05, 1e-9, 1.0, max_iter=1)
         assert state.tau == 1.2j and state.dw is None
+
+
+def match_target(w0, z, p1, p2, signs=(1, -1)):
+    """The period lift of the inversion before `_lift`: the lattice point
+    from rounding both real lattice coordinates, or small offsets on a
+    degenerate span."""
+    det = p1.real * p2.imag - p2.real * p1.imag
+    best = None
+    for s in signs:
+        base = s * z
+        if abs(det) > 1e-12:
+            d = base - w0
+            m = round((d.real * p2.imag - p2.real * d.imag) / det)
+            n = round((p1.real * d.imag - d.real * p1.imag) / det)
+            cands = [base - m * p1 - n * p2]
+        else:
+            cands = [base - m * p1 - n * p2 for m in range(-4, 5) for n in range(-4, 5)]
+        for cand in cands:
+            if best is None or abs(cand - w0) < abs(best - w0):
+                best = cand
+    return best
+
+
+def align_zero(z0, seed, tau):
+    """The zero lift of the continuation before `_lift`: ``z0``, or a
+    translate of ``+-z0`` by the point nearest ``seed`` in the nearest row."""
+    best = z0
+    for s in (1, -1):
+        base = s * z0
+        d = base - seed
+        n = round(d.imag / tau.imag)
+        m = round((d - n * tau).real)
+        cand = base - m - n * tau
+        if abs(cand - seed) < abs(best - seed):
+            best = cand
+    return best
+
+
+class TestLift:
+    # the three benchmark leaves, the negative, arithmetic and a real
+    # quadratic leaf, and a skewed complex basis
+    BASES = [(1, 1j), (1, 0.5 + 1j), (1, -0.25 + 1.25j), (1, -1j), (1, 0),
+             (1, math.sqrt(2)), (0.8 + 0.6j, -1.1 + 0.35j)]
+
+    def test_never_farther_than_the_period_lift_it_replaces(self):
+        rng = np.random.default_rng(61)
+        cases = 0
+        for p1, p2 in self.BASES:
+            p1, p2 = complex(p1), complex(p2)
+            det = p1.real * p2.imag - p2.real * p1.imag
+            for k in range(2000):
+                z = complex(*rng.uniform(-6, 6, size=2))
+                if k % 2:  # near a translate of +-z, as a continuation asks
+                    m, n = rng.integers(-3, 4, size=2)
+                    w0 = rng.choice([1, -1]) * z + m * p1 + n * p2 + complex(*rng.normal(0, 0.2, 2))
+                else:
+                    w0 = complex(*rng.uniform(-6, 6, size=2))
+                for signs in ((1, -1), (1,)):
+                    s, lifted = _lift(z, w0, p1, p2, signs)
+                    assert s in signs
+                    assert abs(lifted - w0) <= abs(match_target(w0, z, p1, p2, signs) - w0)
+                    if abs(det) > 1e-12:  # a translate of s z by the lattice
+                        d = lifted - s * z
+                        m = (d.real * p2.imag - p2.real * d.imag) / det
+                        n = (p1.real * d.imag - d.real * p1.imag) / det
+                        assert abs(m - round(m)) + abs(n - round(n)) < 1e-9
+                    cases += 1
+        assert cases >= 20000
+
+    def test_never_farther_than_the_zero_lift_it_replaces(self):
+        rng = np.random.default_rng(67)
+        for k in range(6000):
+            # tau off the fundamental domain too, down to nearly real
+            tau = complex(rng.uniform(-2, 2), rng.uniform(0.01, 3))
+            z0 = complex(*rng.uniform(-3, 3, size=2))
+            seed = complex(*rng.uniform(-3, 3, size=2))
+            s, lifted = _lift(z0, seed, 1, tau)
+            assert abs(lifted - seed) <= abs(align_zero(z0, seed, tau) - seed)
 
 
 def fan_crossings(path, p1, p2):
