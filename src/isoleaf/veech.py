@@ -475,6 +475,8 @@ def group_contains(descriptor, matrix) -> bool:
         if mat2_det(A) != 1 or mat2_mul(A, G) != mat2_mul(G, A):
             return False
         t, target = G[0][0] + G[1][1], abs(A[0][0] + A[1][1])
+        if abs(t) <= 2:
+            raise IsoleafError(f"generator of {descriptor!r} is not hyperbolic")
         v, v_next = 2, t
         while abs(v) < target:
             v, v_next = v_next, t * v_next - v

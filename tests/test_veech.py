@@ -534,6 +534,9 @@ class TestGroupContains:
         assert not group_contains(desc, module_matrix(2, desc.tau, (Fraction(11, 7), Fraction(6, 7))))
         # the square root of G: det -1
         assert not group_contains(desc, module_matrix(2, desc.tau, (1, 1)))
+        # exponent 0 makes G the identity: no Lucas sequence to search
+        with pytest.raises(IsoleafError, match="not hyperbolic"):
+            group_contains(QuadraticV(2, desc.tau, 0), ((5, 4), (1, 1)))
 
 
 class TestGammaElement:
