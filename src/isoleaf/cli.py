@@ -116,6 +116,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _sample_count(text: str) -> int:
+    """argparse type: an integer from 1 to 64."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= 64:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 64, got {text!r}")
+    return value
+
+
 def _radicand(text: str) -> int:
     """argparse type: a square-free integer D >= 2."""
     try:
@@ -447,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = atlas_sub.add_parser("check", help="run the invariant suite on a stored atlas")
     sub.add_argument("atlas", help="path to an atlas JSON file")
-    sub.add_argument("--samples", type=int, default=3, help="interior samples per gluing")
+    sub.add_argument(
+        "--samples", type=_sample_count, default=3,
+        help="points listed per failing gluing, 1 to 64 (the wall-surface match is "
+        "exact on each whole open segment)",
+    )
     sub.set_defaults(handler=_cmd_atlas_check, command_name="atlas check")
 
     sub = atlas_sub.add_parser("stats", help="summarize a stored atlas")

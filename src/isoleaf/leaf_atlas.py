@@ -42,7 +42,11 @@ from isoleaf.period_algebra import (
     pm_representative,
     symplectic_partner,
 )
-from isoleaf.surface_kernel import SlitDegenerateSurface, cylinder_boundary_surface
+from isoleaf.surface_kernel import (
+    SlitDegenerateSurface,
+    cylinder_boundary_form,
+    cylinder_boundary_surface,
+)
 
 __all__ = [
     "BadSegment",
@@ -331,9 +335,6 @@ class Atlas:
         if self.kind == "positive":
             return {c: not isinstance(c, TorusChamber) for c in self.chambers}
         return {c: self.kind == "negative" and isinstance(c, DegChamber) for c in self.chambers}
-
-    def glued_segments(self):
-        return [g.seg_a for g in self.gluings]
 
     def field(self) -> GroundField:
         if self.kind == "nonarith_real":
@@ -695,7 +696,7 @@ def glue_target(k: int, l: int, sign: int, segment: tuple):
     if sign == -1:
         k2, l2, s2, (lo2, hi2), (sigma, c) = glue_target(k, l, +1, (-hi, -lo))
         return (k2, l2, -s2, (-hi2, -lo2), (sigma, -c))
-    if not (_on_segmentation(k, l, lo) and hi == _next_segmentation_point(k, l, lo)):
+    if not _is_canonical(k, l, lo, hi):
         raise BadSegment(f"({lo}, {hi}) is not a canonical segment of CC+_{k},{l}")
     Q = GroundField.rational()
     big = max(abs(lo), abs(hi))
@@ -713,16 +714,18 @@ def glue_target(k: int, l: int, sign: int, segment: tuple):
     raise BadSegment(f"({lo}, {hi}) is not a canonical segment of CC+_{k},{l}")
 
 
+def _is_canonical(k: int, l: int, lo, hi) -> bool:
+    """Is ``(lo, hi)`` one open segment of the boundary of CC^+_{k,l}?"""
+    return _on_segmentation(k, l, lo) and hi == _next_segmentation_point(k, l, lo)
+
+
 def _on_segmentation(k: int, l: int, x: Fraction) -> bool:
     return x == 0 or (x - l) % k == 0
 
 
-def _next_segmentation_point(k: int, l: int, x: Fraction) -> Fraction:
-    n = (x - l) // k
-    nxt = Fraction((n + 1) * k + l)
-    if x < 0 < nxt:
-        return Fraction(0)
-    return nxt
+def _next_segmentation_point(k: int, l: int, x: Fraction) -> int:
+    nxt = ((x - l) // k + 1) * k + l
+    return 0 if x < 0 < nxt else nxt
 
 
 # ---------------------------------------------------------------------------
@@ -1277,9 +1280,26 @@ def wall_tree(atlas: Atlas) -> WallTree:
 
 
 def check_atlas(atlas: Atlas, samples_per_gluing: int = 3) -> CheckReport:
-    """Run the full invariant suite; failures carry exact counterexamples."""
+    """Run the full invariant suite; failures carry exact counterexamples.
+
+    On an arithmetic atlas the wall-surface match is exact on each whole
+    open segment (see :func:`_check_wall_match`); ``samples_per_gluing``,
+    from 1 up (the CLI takes 1 to 64), is the number of points a failing
+    gluing lists.
+
+    Raises
+    ------
+    IsoleafError
+        If ``samples_per_gluing`` is below 1.
+    """
+    if samples_per_gluing < 1:
+        raise IsoleafError(f"samples_per_gluing must be at least 1, got {samples_per_gluing}")
     checks = []
     failures = []
+    # every key check reads these; reverse and marking-involution keys are
+    # derived from the stored tuples
+    keys = [g.key() for g in atlas.gluings]
+    key_set = set(keys)
 
     def run(name, fn):
         try:
@@ -1291,13 +1311,14 @@ def check_atlas(atlas: Atlas, samples_per_gluing: int = 3) -> CheckReport:
         for b in bad:
             failures.append({"check": name, **b})
 
-    run("gluing-involution", lambda: _check_involution(atlas))
-    run("segments-glued-once", lambda: _check_single_use(atlas))
+    run("gluing-involution", lambda: _check_involution(atlas, keys, key_set))
+    run("segments-glued-once", lambda: _check_single_use(atlas, keys))
     run("cone-angles", lambda: _check_cone_angles(atlas))
     if atlas.kind == "arith_real":
         run("wall-surface-match", lambda: _check_wall_match(atlas, samples_per_gluing))
         run("phi-count", lambda: _check_phi_count(atlas))
-        run("involution-equivariance", lambda: _check_arith_involution(atlas))
+        run("involution-equivariance", lambda: _check_arith_involution(atlas, keys, key_set))
+    del keys, key_set  # not held through the connectivity walk
     run("connectivity", lambda: _check_connectivity(atlas))
     return CheckReport(passed=not failures, checks=checks, failures=failures)
 
@@ -1311,23 +1332,51 @@ def _seg_desc(seg: BoundarySegment):
     }
 
 
-def _check_involution(atlas: Atlas):
-    keys = {g.key() for g in atlas.gluings}
+def _neg_coord_key(key):
+    """``_coord_key`` of ``-x`` from that of ``x``; an infinite end changes side."""
+    return (-key[0], -key[1], key[2], -key[3], key[4])
+
+
+def _reverse_key(g: Gluing, key):
+    """``g.reverse().key()``, from ``key = g.key()``."""
+    seg_a, seg_b, sigma, c = key
+    if sigma == 1:
+        c = _neg_coord_key(c)
+    elif sigma != -1:
+        c = _coord_key(-sigma * g.c, 0)
+    return (seg_b, seg_a, sigma, c)
+
+
+def _iota_key(g: Gluing, key):
+    """``_iota_image(g).key()``, from ``key = g.key()``; None if a side is not
+    an arithmetic chamber, where the marking involution is not defined."""
+    if type(g.seg_a.chamber) is not CylArithChamber or type(g.seg_b.chamber) is not CylArithChamber:
+        return None
+    seg_a, seg_b, sigma, c = key
+    return (_iota_seg_key(seg_a), _iota_seg_key(seg_b), sigma, _neg_coord_key(c))
+
+
+def _iota_seg_key(key):
+    # the chamber key of CC^sign_{k,l} is (1, k, l, -sign)
+    chamber, part, lo, hi = key
+    return (chamber[:3] + (-chamber[3],), part, _neg_coord_key(hi), _neg_coord_key(lo))
+
+
+def _check_involution(atlas: Atlas, keys: list, key_set: set):
     bad = []
-    for g in atlas.gluings:
-        if g.reverse().key() not in keys:
+    for g, key in zip(atlas.gluings, keys):
+        if _reverse_key(g, key) not in key_set:
             bad.append({"missing-reverse-of": _seg_desc(g.seg_a)})
     return bad
 
 
-def _check_single_use(atlas: Atlas):
-    seen = {}
+def _check_single_use(atlas: Atlas, keys: list):
+    seen = set()
     bad = []
-    for g in atlas.gluings:
-        k = g.seg_a.key()
-        if k in seen:
+    for g, key in zip(atlas.gluings, keys):
+        if key[0] in seen:
             bad.append({"segment-reused": _seg_desc(g.seg_a)})
-        seen[k] = g
+        seen.add(key[0])
     return bad
 
 
@@ -1343,18 +1392,77 @@ def _check_cone_angles(atlas: Atlas):
 
 
 def _check_wall_match(atlas: Atlas, samples: int):
+    """Wall-surface match of every plus-side gluing on its whole open segment.
+
+    When both sides are canonical segments, the slit lengths of each side
+    are affine in the boundary coordinate there, so one exact identity
+    (:func:`_wall_identity`) proves or refutes the match everywhere on the
+    segment.  A gluing it does not prove lists those of its ``samples``
+    evenly spaced interior points where :func:`wall_surface_match` fails.
+    Two different affine maps agree at one point at most, so only with one
+    sample can a refuted gluing have none; it then lists the first point of
+    the two-point grid.  A side that is not a canonical segment is judged
+    by its samples alone.
+    """
     bad = []
     for g in atlas.gluings:
         if g.seg_a.chamber.sign != +1:
             continue
-        lo, hi = g.seg_a.lo, g.seg_a.hi
-        for j in range(1, samples + 1):
-            t = (lo * (samples + 1 - j) + hi * j) / (samples + 1)
-            if not wall_surface_match(atlas, g, t):
-                bad.append(
-                    {"gluing": _seg_desc(g.seg_a), "sample": str(t)}
-                )
+        proved = _wall_identity(g)
+        if proved:
+            continue
+        found = _wall_mismatches(atlas, g, samples)
+        if not found and proved is False:
+            found = _wall_mismatches(atlas, g, 2)[:1]
+        bad.extend(found)
     return bad
+
+
+def _wall_mismatches(atlas: Atlas, g: Gluing, samples: int) -> list:
+    lo, hi = g.seg_a.lo, g.seg_a.hi
+    bad = []
+    for j in range(1, samples + 1):
+        t = (lo * (samples + 1 - j) + hi * j) / (samples + 1)
+        if not wall_surface_match(atlas, g, t):
+            bad.append({"gluing": _seg_desc(g.seg_a), "sample": str(t)})
+    return bad
+
+
+def _int_coord(x) -> int | None:
+    if x is None or x.q or x.d != 1:
+        return None
+    return x.p
+
+
+def _wall_identity(g: Gluing) -> bool | None:
+    """Do both sides of ``g`` degenerate to the same surface on the whole
+    open segment?
+
+    None unless both sides are canonical segments of arithmetic chambers
+    and the target segment is the image of the source.  Otherwise compares
+    the slit-length forms of :func:`cylinder_boundary_form`, the target's
+    read through ``x_b = sigma x_a + c``: constants, slopes and the marking
+    bit.
+    """
+    a, b, sigma = g.seg_a.chamber, g.seg_b.chamber, g.sigma
+    ends = [_int_coord(x) for x in (g.seg_a.lo, g.seg_a.hi, g.seg_b.lo, g.seg_b.hi, g.c)]
+    if type(b) is not CylArithChamber or sigma not in (1, -1) or None in ends:
+        return None
+    lo, hi, lo2, hi2, c = ends
+    if sorted((sigma * lo + c, sigma * hi + c)) != [lo2, hi2]:
+        return None
+    if not (_is_canonical(a.k, a.l, *_plus_side(a.sign, lo, hi))
+            and _is_canonical(b.k, b.l, *_plus_side(b.sign, lo2, hi2))):
+        return None
+    Q = GroundField.rational()
+    form_a, bit_a = cylinder_boundary_form(a.k, a.l, a.sign, Q.element(lo + hi) / 2)
+    form_b, bit_b = cylinder_boundary_form(b.k, b.l, b.sign, Q.element(lo2 + hi2) / 2)
+    return bit_a == bit_b and form_a == tuple((p + q * c, q * sigma) for p, q in form_b)
+
+
+def _plus_side(sign: int, lo: int, hi: int) -> tuple:
+    """A boundary interval of CC^sign in the coordinates of CC^+."""
+    return (lo, hi) if sign == 1 else (-hi, -lo)
 
 
 def _check_phi_count(atlas: Atlas):
@@ -1377,11 +1485,10 @@ def _check_phi_count(atlas: Atlas):
     return bad
 
 
-def _check_arith_involution(atlas: Atlas):
-    keys = {g.key() for g in atlas.gluings}
+def _check_arith_involution(atlas: Atlas, keys: list, key_set: set):
     bad = []
-    for g in atlas.gluings:
-        if _iota_image(g).key() not in keys:
+    for g, key in zip(atlas.gluings, keys):
+        if _iota_key(g, key) not in key_set:
             bad.append({"missing-involution-image-of": _seg_desc(g.seg_a)})
     return bad
 

@@ -26,7 +26,9 @@ The boundary-degeneration maps (`cylinder_boundary_surface`,
 `hexagon_boundary_surface`) produce the wall surfaces reached at exact
 boundary coordinates, or the completion tags :class:`PinchedTorus` and
 :class:`PointInH2m2` at the degenerate parameter values that leave the
-stratum.
+stratum.  On a cylinder chamber's boundary the slit lengths are affine on
+each open segment; `cylinder_boundary_form` gives them as such, and
+`cylinder_boundary_surface` evaluates that form at its point.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, pi
+from math import atan2, gcd, pi
 
 from isoleaf.period_algebra import (
     FieldElement,
@@ -64,6 +66,7 @@ __all__ = [
     "WallCrossing",
     "core_type",
     "volume_constraint_check",
+    "cylinder_boundary_form",
     "cylinder_boundary_surface",
     "hexagon_boundary_surface",
     "cylinder_member_min",
@@ -371,12 +374,6 @@ class HexagonSurface:
             angles[name] = 2 * pi - interior
         return angles
 
-    def z1_triangle_vertices(self) -> tuple[ExactComplex, ExactComplex, ExactComplex]:
-        """Vertices of the z1-chart triangle: 0, u1, -u2."""
-        u1, u2, _ = self._values()
-        zero = ExactComplex(u1.re.field.zero(), u1.re.field.zero())
-        return (zero, u1, -u2)
-
 
 def hexagon_from_rotation(
     chi: PeriodCharacter,
@@ -523,8 +520,6 @@ def volume_constraint_check(surface, chi: PeriodCharacter) -> bool:
 
 
 def _check_admissible(k: int, l: int) -> None:
-    from math import gcd
-
     if k < 1 or not (0 <= l < k) or gcd(k, l) != 1:
         raise InvalidSurface(f"(k, l) = ({k}, {l}) is not an admissible index pair")
 
@@ -539,12 +534,49 @@ def _as_real_exact(t) -> FieldElement:
     raise NotOnBoundary(f"boundary coordinate must be exact, got {type(t)!r}")
 
 
+def cylinder_boundary_form(k: int, l: int, sign: int, t):
+    """The slit lengths on the open boundary segment of CC^sign_{k,l} that
+    holds ``t``, as affine functions of the boundary coordinate.
+
+    Returns ``(((a1, b1), (a2, b2), (a3, b3)), b_at_left)``: integers
+    ``a_i`` and slopes ``b_i = +-1`` with ``l_i = a_i + b_i x`` at every
+    point ``x`` of that segment, and the marking bit ``(x > 0)`` there; or
+    ``None`` when ``t`` is a segmentation point.
+
+    In the plus coordinate ``s = sign * t``, the points ``n k + l`` next to
+    ``s`` are ``m k + l`` and ``(m + 1) k + l`` with
+    ``m = floor((s - l)/k)``; the segment is the interval between them, cut
+    at 0 when it holds 0.  The three lengths are the distances from ``s`` to
+    those two points and ``|s|``; ``|s|`` comes last for ``s > 0`` and first
+    for ``s < 0``.  The minus chamber is the mirror of the plus chamber, so
+    its slopes are negated.
+    """
+    _check_admissible(k, l)
+    if sign not in (1, -1):
+        raise InvalidSurface("sign must be +1 or -1")
+    t = _as_real_exact(t)
+    s = t if sign == 1 else -t
+    if s.is_zero():
+        return None
+    offset = (s - l) / k
+    if offset.q == 0 and offset.d == 1:
+        return None
+    m = offset.floor()
+    left, right = (-l - m * k, sign), ((m + 1) * k + l, -sign)
+    if s.sign() > 0:
+        form = (left, right, (0, sign))
+    else:
+        form = ((0, -sign), left, right)
+    return form, t.sign() > 0
+
+
 def cylinder_boundary_surface(k: int, l: int, sign: int, t):
     """The wall surface at coordinate ``t`` on the boundary of CC^sign_{k,l}.
 
     The boundary line is segmented by the points ``{n k + l} ∪ {0}``; on
     each open segment the degenerating cylinder yields a slit normal
-    form, with the marking bit ``(t > 0)``; the segmentation points
+    form, with the marking bit ``(t > 0)`` and the lengths of
+    :func:`cylinder_boundary_form` at ``t``; the segmentation points
     themselves leave the stratum: the center ``t = 0`` of the (1, 0)
     chambers is the pinched torus, every other segmentation point is a
     zero collision in H(2,-2).
@@ -552,33 +584,14 @@ def cylinder_boundary_surface(k: int, l: int, sign: int, t):
     The minus chamber is the mirror of the plus chamber: its surface at
     ``t`` is the plus surface at ``-t`` with the marking swapped.
     """
-    _check_admissible(k, l)
-    if sign not in (1, -1):
-        raise InvalidSurface("sign must be +1 or -1")
+    found = cylinder_boundary_form(k, l, sign, t)
     t = _as_real_exact(t)
-    s = t if sign == 1 else -t
-    field = s.field
-
-    # segmentation points
-    if s.is_zero():
-        if (k, l) == (1, 0):
+    if found is None:
+        if t.is_zero() and (k, l) == (1, 0):
             return PinchedTorus(location=(k, l, sign))
         return PointInH2m2(location=(k, l, sign, t))
-    offset = (s - l) / k
-    if offset.q == 0 and offset.d == 1:
-        return PointInH2m2(location=(k, l, sign, t))
-
-    if s.sign() < 0:
-        n = ((l - s) / k).floor()
-        lengths = (-s, (n + 1) * k - l + s, l - s - n * k)
-    elif (s - l).sign() < 0:
-        lengths = (k + s - l, l - s, s)
-    else:
-        n = ((s - l) / k).floor()
-        lengths = (s - l - n * k, (n + 1) * k + l - s, s)
-
-    bit = t.sign() > 0
-    l1, l2, l3 = (x if isinstance(x, FieldElement) else field.element(x) for x in lengths)
+    form, bit = found
+    l1, l2, l3 = (a + b * t for a, b in form)
     return SlitDegenerateSurface(l1, l2, l3, b_at_left=bit)
 
 

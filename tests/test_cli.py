@@ -383,6 +383,28 @@ class TestAtlasCommands:
         assert report["counterexamples"], "failure must carry machine-readable counterexamples"
         assert any("chamber" in json.dumps(entry) for entry in report["counterexamples"])
 
+    def test_samples_outside_1_to_64_is_a_usage_error(self, capsys, tmp_path):
+        # one plus-side gluing of a bound-8 atlas with its constant shifted by +1
+        path = tmp_path / "arith.json"
+        invoke(capsys, ["atlas", "build", "--kind", "arithmetic", "--kmax", "8", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        rec = next(g for g in doc["gluings"] if g["a"]["chamber"]["sign"] == 1)
+        (num, den), = rec["c"]
+        rec["c"] = [[str(int(num) + int(den)), den]]
+        path.write_text(json.dumps(doc))
+        for samples in ("1", "3", "64"):
+            code, out, _ = invoke(capsys, ["atlas", "check", str(path), "--samples", samples])
+            assert code == 1 and "FAIL wall-surface-match" in out
+            listed = [c for c in json.loads(out.splitlines()[-1])["counterexamples"]
+                      if c["check"] == "wall-surface-match"]
+            assert 1 <= len(listed) <= int(samples)
+        for samples in ("0", "-3", "65", "x"):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["atlas", "check", str(path), "--samples", samples])
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "--samples" in errors[0]
+
     @pytest.mark.parametrize(
         "case",
         ["schema-only", "list", "zero-denominator", "two-coordinates-over-Q", "non-integer",
