@@ -1401,7 +1401,7 @@ def _check_wall_match(atlas: Atlas, samples: int):
     evenly spaced interior points where :func:`wall_surface_match` fails.
     Two different affine maps agree at one point at most, so only with one
     sample can a refuted gluing have none; it then lists the first point of
-    the two-point grid.  A side that is not a canonical segment is judged
+    the two-point grid where the surfaces differ.  A side that is not a canonical segment is judged
     by its samples alone.
     """
     bad = []
@@ -1438,19 +1438,18 @@ def _wall_identity(g: Gluing) -> bool | None:
     """Do both sides of ``g`` degenerate to the same surface on the whole
     open segment?
 
-    None unless both sides are canonical segments of arithmetic chambers
-    and the target segment is the image of the source.  Otherwise compares
+    None unless the source segment and its image under ``x_b = sigma x_a +
+    c`` are canonical segments of their arithmetic chambers; the stored
+    target ends are the involution check's business.  Otherwise compares
     the slit-length forms of :func:`cylinder_boundary_form`, the target's
-    read through ``x_b = sigma x_a + c``: constants, slopes and the marking
-    bit.
+    read through the map: constants, slopes and the marking bit.
     """
     a, b, sigma = g.seg_a.chamber, g.seg_b.chamber, g.sigma
-    ends = [_int_coord(x) for x in (g.seg_a.lo, g.seg_a.hi, g.seg_b.lo, g.seg_b.hi, g.c)]
+    ends = [_int_coord(x) for x in (g.seg_a.lo, g.seg_a.hi, g.c)]
     if type(b) is not CylArithChamber or sigma not in (1, -1) or None in ends:
         return None
-    lo, hi, lo2, hi2, c = ends
-    if sorted((sigma * lo + c, sigma * hi + c)) != [lo2, hi2]:
-        return None
+    lo, hi, c = ends
+    lo2, hi2 = sorted((sigma * lo + c, sigma * hi + c))
     if not (_is_canonical(a.k, a.l, *_plus_side(a.sign, lo, hi))
             and _is_canonical(b.k, b.l, *_plus_side(b.sign, lo2, hi2))):
         return None

@@ -443,7 +443,7 @@ def _cold_zero(
     """
     e1, e2, e3 = halves
     z = _carlson_rf(target - e1, target - e2, target - e3)
-    return _lift_unit(z, 0j if pole_side else (1 + tau) / 2, tau)
+    return _lift(z, 0j if pole_side else (1 + tau) / 2, 1, tau)[1]
 
 
 def relative_period(
@@ -504,28 +504,6 @@ def _lift(
     return best
 
 
-def _lift_unit(z: complex, w0: complex, tau: complex) -> complex:
-    """``_lift(z, w0, 1, tau)[1]``, for the basis ``(1, tau)`` of a zero's
-    lattice.
-
-    With ``Im tau > 1e-12`` the general case's determinant test passes,
-    ``p2/p1`` is ``tau`` and the division by ``p1 = 1`` changes no value, so
-    both are skipped and the rounding reads the same numbers.
-    """
-    if not tau.imag > 1e-12:
-        return _lift(z, w0, 1, tau)[1]
-    best = 1 * z
-    dist = abs(best - w0)
-    for s in (1, -1):
-        base = s * z
-        d = base - w0
-        n = round(d.imag / tau.imag)
-        cand = base - round((d - n * tau).real) - n * tau
-        if abs(cand - w0) < dist:
-            best, dist = cand, abs(cand - w0)
-    return best
-
-
 class _FormState:
     """Continuation state for Newton tracking.
 
@@ -548,7 +526,7 @@ class _FormState:
         seed = self.z0
         z0 = form_zero(tau, a, b, self.precision, seed=seed)
         if seed is not None:
-            z0 = _lift_unit(z0, seed, tau)
+            z0 = _lift(z0, seed, 1, tau)[1]
         return 2 * a * z0 - 2 * b * _data(tau, self.precision).wzeta(z0), z0
 
     def start(self, tau: complex) -> complex:

@@ -22,7 +22,6 @@ from isoleaf.teich_numeric import (
     _carlson_rf,
     _least_squares,
     _lift,
-    _lift_unit,
     _newton_track,
     _trace_grid,
     _wall_crossings,
@@ -707,20 +706,6 @@ class TestLift:
             seed = complex(*rng.uniform(-3, 3, size=2))
             s, lifted = _lift(z0, seed, 1, tau)
             assert abs(lifted - seed) <= abs(align_zero(z0, seed, tau) - seed)
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        st.floats(-1e3, 1e3),
-        st.one_of(st.floats(1e-14, 1e-11), st.floats(1e-11, 1e3)),
-    )
-    def test_unit_basis_fast_path_is_the_general_lift(self, z, w0, re_tau, im_tau):
-        # bit for bit, signed zeros included; Im tau at or below 1e-12 takes
-        # the general path
-        tau = complex(re_tau, im_tau)
-        fast, general = _lift_unit(z, w0, tau), _lift(z, w0, 1, tau)[1]
-        assert (fast.real.hex(), fast.imag.hex()) == (general.real.hex(), general.imag.hex())
 
 
 def fan_crossings(path, p1, p2):
