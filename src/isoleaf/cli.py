@@ -116,17 +116,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _sample_count(text: str) -> int:
-    """argparse type: an integer from 1 to 64."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= 64:
-        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 64, got {text!r}")
-    return value
-
-
 def _radicand(text: str) -> int:
     """argparse type: a square-free integer D >= 2."""
     try:
@@ -276,7 +265,7 @@ def _cmd_atlas_check(parser, args) -> int:
     atlas = _load_atlas(parser, args.atlas)
     _log_run(atlas.character, atlas.bound)
     with stats.span("check"):
-        report = check_atlas(atlas, samples_per_gluing=args.samples)
+        report = check_atlas(atlas)
     for name, ok in report.checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
     if report.passed:
@@ -458,11 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = atlas_sub.add_parser("check", help="run the invariant suite on a stored atlas")
     sub.add_argument("atlas", help="path to an atlas JSON file")
-    sub.add_argument(
-        "--samples", type=_sample_count, default=3,
-        help="points listed per failing gluing, 1 to 64 (the wall-surface match is "
-        "exact on each whole open segment)",
-    )
     sub.set_defaults(handler=_cmd_atlas_check, command_name="atlas check")
 
     sub = atlas_sub.add_parser("stats", help="summarize a stored atlas")

@@ -429,14 +429,21 @@ def build_positive(bound: int) -> Atlas:
         truncated=[],
         singularities=[],
     )
-    reps = sorted(
-        {pm_representative(u) for u in prims}, key=lambda u: (u.max_norm(), u.m, u.n)
-    )
-    for rep in reps:
-        start = (torus, ("slit", rep, "L"), Q.element(1), +1)
-        star = _walk_star(atlas, start, ident=("pos", (rep.m, rep.n)))
-        atlas.singularities.append(star)
+    _positive_stars(atlas)
     return atlas
+
+
+def _positive_stars(atlas: Atlas) -> None:
+    """Walk the star at every enumerated tip pair ``{gamma, -gamma}``."""
+    reps = sorted(
+        {pm_representative(c.u) for c in atlas.chambers if isinstance(c, CylChamber)},
+        key=lambda u: (u.max_norm(), u.m, u.n),
+    )
+    one = GroundField.rational().element(1)
+    torus = TorusChamber()
+    for rep in reps:
+        start = (torus, ("slit", rep, "L"), one, +1)
+        atlas.singularities.append(_walk_star(atlas, start, ident=("pos", (rep.m, rep.n))))
 
 
 # ---------------------------------------------------------------------------
@@ -1279,21 +1286,13 @@ def wall_tree(atlas: Atlas) -> WallTree:
 # invariant suite
 
 
-def check_atlas(atlas: Atlas, samples_per_gluing: int = 3) -> CheckReport:
+def check_atlas(atlas: Atlas) -> CheckReport:
     """Run the full invariant suite; failures carry exact counterexamples.
 
-    On an arithmetic atlas the wall-surface match is exact on each whole
-    open segment (see :func:`_check_wall_match`); ``samples_per_gluing``,
-    from 1 up (the CLI takes 1 to 64), is the number of points a failing
-    gluing lists.
-
-    Raises
-    ------
-    IsoleafError
-        If ``samples_per_gluing`` is below 1.
+    On an arithmetic atlas the wall-surface match is decided exactly on
+    each whole open segment, one entry per failing gluing (see
+    :func:`_check_wall_match`).
     """
-    if samples_per_gluing < 1:
-        raise IsoleafError(f"samples_per_gluing must be at least 1, got {samples_per_gluing}")
     checks = []
     failures = []
     # every key check reads these; reverse and marking-involution keys are
@@ -1315,7 +1314,7 @@ def check_atlas(atlas: Atlas, samples_per_gluing: int = 3) -> CheckReport:
     run("segments-glued-once", lambda: _check_single_use(atlas, keys))
     run("cone-angles", lambda: _check_cone_angles(atlas))
     if atlas.kind == "arith_real":
-        run("wall-surface-match", lambda: _check_wall_match(atlas, samples_per_gluing))
+        run("wall-surface-match", lambda: _check_wall_match(atlas))
         run("phi-count", lambda: _check_phi_count(atlas))
         run("involution-equivariance", lambda: _check_arith_involution(atlas, keys, key_set))
     del keys, key_set  # not held through the connectivity walk
@@ -1391,41 +1390,30 @@ def _check_cone_angles(atlas: Atlas):
     return bad
 
 
-def _check_wall_match(atlas: Atlas, samples: int):
+def _check_wall_match(atlas: Atlas):
     """Wall-surface match of every plus-side gluing on its whole open segment.
 
-    When both sides are canonical segments, the slit lengths of each side
-    are affine in the boundary coordinate there, so one exact identity
-    (:func:`_wall_identity`) proves or refutes the match everywhere on the
-    segment.  A gluing it does not prove lists those of its ``samples``
-    evenly spaced interior points where :func:`wall_surface_match` fails.
-    Two different affine maps agree at one point at most, so only with one
-    sample can a refuted gluing have none; it then lists the first point of
-    the two-point grid where the surfaces differ.  A side that is not a canonical segment is judged
-    by its samples alone.
+    A wall of an arithmetic leaf is a canonical segment of the segmentation
+    ``{n k + l} ∪ {0}`` on both sides, and there the slit lengths are affine
+    in the boundary coordinate, so one exact identity
+    (:func:`_wall_identity`) decides the match everywhere on the segment.
+    A gluing it refutes, or whose sides are not canonical segments of
+    arithmetic chambers, gives one entry naming the gluing.
     """
     bad = []
     for g in atlas.gluings:
         if g.seg_a.chamber.sign != +1:
             continue
         proved = _wall_identity(g)
-        if proved:
-            continue
-        found = _wall_mismatches(atlas, g, samples)
-        if not found and proved is False:
-            found = _wall_mismatches(atlas, g, 2)[:1]
-        bad.extend(found)
+        if not proved:
+            bad.append({"gluing": _seg_desc(g.seg_a), "reason": _WALL_FAULT[proved]})
     return bad
 
 
-def _wall_mismatches(atlas: Atlas, g: Gluing, samples: int) -> list:
-    lo, hi = g.seg_a.lo, g.seg_a.hi
-    bad = []
-    for j in range(1, samples + 1):
-        t = (lo * (samples + 1 - j) + hi * j) / (samples + 1)
-        if not wall_surface_match(atlas, g, t):
-            bad.append({"gluing": _seg_desc(g.seg_a), "sample": str(t)})
-    return bad
+_WALL_FAULT = {
+    False: "the slit-length forms of the two sides differ",
+    None: "a side is not a canonical segment of an arithmetic chamber",
+}
 
 
 def _int_coord(x) -> int | None:
@@ -1523,7 +1511,18 @@ def _chamber_json(c):
     }
 
 
-def _chamber_from_json(d):
+# the chamber types each atlas kind is made of, by their JSON tag
+_KIND_CHAMBERS = {
+    "positive": ("torus", "cyl"),
+    "negative": ("cyl", "deg"),
+    "arith_real": ("cyl_arith",),
+    "nonarith_real": ("cyl",),
+}
+
+
+def _chamber_from_json(d, kind: str):
+    if d["type"] not in _KIND_CHAMBERS[kind]:
+        raise ValueError(f"{d['type']!r} is not a chamber type of {kind} atlases")
     if d["type"] == "torus":
         return TorusChamber()
     if d["type"] == "cyl":
@@ -1572,8 +1571,8 @@ def _seg_json(seg: BoundarySegment):
     }
 
 
-def _seg_from_json(d, fld: GroundField):
-    chamber = _chamber_from_json(d["chamber"])
+def _seg_from_json(d, fld: GroundField, kind: str):
+    chamber = _chamber_from_json(d["chamber"], kind)
     return BoundarySegment(
         chamber,
         _part_from_json(d["part"], chamber),
@@ -1627,9 +1626,6 @@ def _ident_json(ident):
     return enc(ident)
 
 
-_KINDS = ("positive", "negative", "arith_real", "nonarith_real")
-
-
 def atlas_from_json_dict(data: dict) -> Atlas:
     """Rebuild an atlas from its canonical JSON (stars are re-derived).
 
@@ -1646,23 +1642,23 @@ def atlas_from_json_dict(data: dict) -> Atlas:
     try:
         chi = PeriodCharacter.from_json_dict(data["character"])
         kind = data["kind"]
-        if kind not in _KINDS:
+        if kind not in _KIND_CHAMBERS:
             raise IsoleafError(f"unknown atlas kind {kind!r}")
         if classify(chi).kind != kind:
             raise IsoleafError(f"the character of a {kind} atlas is {classify(chi).kind}")
         fld = chi.field if kind == "nonarith_real" else GroundField.rational()
-        chambers = [_chamber_from_json(c) for c in data["chambers"]]
+        chambers = [_chamber_from_json(c, kind) for c in data["chambers"]]
         gluings = [
             Gluing(
-                _seg_from_json(g["a"], fld),
-                _seg_from_json(g["b"], fld),
+                _seg_from_json(g["a"], fld, kind),
+                _seg_from_json(g["b"], fld, kind),
                 int(g["sigma"]),
                 FieldElement.from_json(fld, g["c"]),
             )
             for g in data["gluings"]
         ]
         bound = int(data["bound"])
-        truncated = [_seg_from_json(s, fld) for s in data["truncated"]]
+        truncated = [_seg_from_json(s, fld, kind) for s in data["truncated"]]
     except KeyError as exc:
         raise IsoleafError(f"malformed atlas: missing key {exc}") from None
     except (IndexError, TypeError, ValueError) as exc:
@@ -1677,22 +1673,7 @@ def atlas_from_json_dict(data: dict) -> Atlas:
         singularities=[],
     )
     if kind == "positive":
-        # stars of the positive atlas live at every enumerated tip pair
-        reps = sorted(
-            {
-                pm_representative(c.u)
-                for c in chambers
-                if isinstance(c, CylChamber)
-            },
-            key=lambda u: (u.max_norm(), u.m, u.n),
-        )
-        Q = GroundField.rational()
-        torus = TorusChamber()
-        for rep in reps:
-            start = (torus, ("slit", rep, "L"), Q.element(1), +1)
-            atlas.singularities.append(
-                _walk_star(atlas, start, ident=("pos", (rep.m, rep.n)))
-            )
+        _positive_stars(atlas)
     else:
         _collect_stars(atlas)
     return atlas

@@ -112,7 +112,7 @@ def test_criterion_01_cone_angles_exact(pos4, neg4, arith20):
 
 def test_criterion_02_gluing_involution_and_wall_match(arith20):
     """Segments glued once with reverse records; surfaces match on walls."""
-    report = check_atlas(arith20, samples_per_gluing=3)
+    report = check_atlas(arith20)
     results = dict(report.checks)
     failures = []
     for name in ("gluing-involution", "segments-glued-once", "wall-surface-match"):

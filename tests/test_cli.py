@@ -30,6 +30,17 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _replaced(node, old, new):
+    """``node`` with every sub-document equal to ``old`` replaced by ``new``."""
+    if node == old:
+        return new
+    if isinstance(node, dict):
+        return {k: _replaced(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_replaced(v, old, new) for v in node]
+    return node
+
+
 class TestClassify:
     def test_positive_gaussian(self, capsys):
         code, out, err = invoke(
@@ -383,7 +394,7 @@ class TestAtlasCommands:
         assert report["counterexamples"], "failure must carry machine-readable counterexamples"
         assert any("chamber" in json.dumps(entry) for entry in report["counterexamples"])
 
-    def test_samples_outside_1_to_64_is_a_usage_error(self, capsys, tmp_path):
+    def test_shifted_constant_is_listed_once(self, capsys, tmp_path):
         # one plus-side gluing of a bound-8 atlas with its constant shifted by +1
         path = tmp_path / "arith.json"
         invoke(capsys, ["atlas", "build", "--kind", "arithmetic", "--kmax", "8", "--out", str(path)])
@@ -392,18 +403,32 @@ class TestAtlasCommands:
         (num, den), = rec["c"]
         rec["c"] = [[str(int(num) + int(den)), den]]
         path.write_text(json.dumps(doc))
-        for samples in ("1", "3", "64"):
-            code, out, _ = invoke(capsys, ["atlas", "check", str(path), "--samples", samples])
-            assert code == 1 and "FAIL wall-surface-match" in out
-            listed = [c for c in json.loads(out.splitlines()[-1])["counterexamples"]
-                      if c["check"] == "wall-surface-match"]
-            assert 1 <= len(listed) <= int(samples)
-        for samples in ("0", "-3", "65", "x"):
-            with pytest.raises(SystemExit) as exc:
-                cli.run(["atlas", "check", str(path), "--samples", samples])
-            assert exc.value.code == 2
-            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-            assert len(errors) == 1 and "--samples" in errors[0]
+        code, out, _ = invoke(capsys, ["atlas", "check", str(path)])
+        assert code == 1 and "FAIL wall-surface-match" in out
+        listed = [c for c in json.loads(out.splitlines()[-1])["counterexamples"]
+                  if c["check"] == "wall-surface-match"]
+        assert [c["gluing"]["chamber"] for c in listed] == ["CylArithChamber(k=1, l=0, sign=1)"]
+
+    @pytest.mark.parametrize(
+        "argv", [["render", "--atlas"], ["atlas", "check"], ["atlas", "stats"]],
+        ids=["render", "check", "stats"],
+    )
+    def test_chamber_of_another_kind_exits_1_in_one_line(self, capsys, tmp_path, argv):
+        # every CC^-_{1,0} of an arithmetic atlas written as a lattice cylinder
+        path = tmp_path / "arith.json"
+        invoke(capsys, ["atlas", "build", "--kind", "arithmetic", "--kmax", "3", "--out", str(path)])
+        doc = _replaced(json.loads(path.read_text()),
+                        {"type": "cyl_arith", "k": "1", "l": "0", "sign": -1},
+                        {"type": "cyl", "u": ["0", "1"]})
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoleaf.cli", *argv, str(path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:"), proc.stderr
+        assert "'cyl' is not a chamber type" in errors[0]
 
     @pytest.mark.parametrize(
         "case",

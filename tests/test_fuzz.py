@@ -101,7 +101,6 @@ COMMANDS = {
     ),
     "check": st.tuples(
         st.just(["atlas", "check"]), atlas_file.map(lambda p: [p]),
-        _maybe(_flag("--samples", st.integers(-1, 3).map(str))),
     ),
     "stats": st.tuples(st.just(["atlas", "stats"]), atlas_file.map(lambda p: [p])),
     "render": st.tuples(

@@ -978,6 +978,30 @@ class TestAtlasJson:
         with pytest.raises(IsoleafError):
             atlas_from_json_dict(doc)
 
+    def test_chamber_of_another_kind_rejected(self):
+        docs = [atlas_to_json_dict(atlas) for atlas in self.atlases()]
+        foreign = {
+            "torus": {"type": "torus"},
+            "cyl": {"type": "cyl", "u": ["0", "1"]},
+            "cyl_arith": {"type": "cyl_arith", "k": "1", "l": "0", "sign": -1},
+            "deg": next(c for c in docs[1]["chambers"] if c["type"] == "deg"),
+        }
+        for doc in docs:
+            own = {c["type"] for c in doc["chambers"]}
+            for tag in sorted(set(foreign) - own):
+                for where in ("chambers", "gluings", "truncated"):
+                    bad = json.loads(json.dumps(doc))
+                    if where == "chambers":
+                        bad["chambers"][-1] = foreign[tag]
+                    elif where == "gluings":
+                        bad["gluings"][-1]["b"]["chamber"] = foreign[tag]
+                    elif bad["truncated"]:
+                        bad["truncated"][0]["chamber"] = foreign[tag]
+                    else:
+                        continue
+                    with pytest.raises(IsoleafError, match=f"'{tag}' is not a chamber type of"):
+                        atlas_from_json_dict(bad)
+
     def test_singularity_records_preserved(self):
         atlas = build_arithmetic(3)
         d = atlas_to_json_dict(atlas)
