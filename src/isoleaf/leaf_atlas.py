@@ -109,6 +109,23 @@ class NonQuadraticTheta(IsoleafError):
 # chamber identifiers
 
 
+def _hash_once(cls):
+    """Keep each chamber's dataclass hash: star walks and atlas indexes hash
+    the same chambers at every step, and a triangle's recurses into its triple."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class TorusChamber:
     """The slit-plane chamber of a positive leaf."""
@@ -117,6 +134,7 @@ class TorusChamber:
         return (0,)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class CylChamber:
     """Cylinder chamber CC_u of a lattice or non-arithmetic leaf."""
@@ -131,6 +149,7 @@ class CylChamber:
         return (1, self.u.max_norm(), self.u.m, self.u.n)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class CylArithChamber:
     """Half-plane chamber CC^sign_{k,l} of an arithmetic leaf."""
@@ -149,6 +168,7 @@ class CylArithChamber:
         return (1, self.k, self.l, -self.sign)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class DegChamber:
     """Degenerate (triangle) chamber of a negative leaf."""
@@ -215,19 +235,15 @@ class Gluing:
     c: FieldElement
 
     def map_coord(self, x: FieldElement) -> FieldElement:
-        return self.sigma * x + self.c
+        return x + self.c if self.sigma == 1 else self.sigma * x + self.c
 
     def reverse(self) -> "Gluing":
         # x_a = sigma * x_b - sigma * c
         return Gluing(self.seg_b, self.seg_a, self.sigma, -self.sigma * self.c)
 
-    def key(self):
-        return (
-            self.seg_a.key(),
-            self.seg_b.key(),
-            self.sigma,
-            _coord_key(self.c, 0),
-        )
+    def key(self, seg_key=BoundarySegment.key):
+        """Total-order key; ``seg_key`` may be a memoized `BoundarySegment.key`."""
+        return (seg_key(self.seg_a), seg_key(self.seg_b), self.sigma, _coord_key(self.c, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +358,8 @@ class Atlas:
         return GroundField.rational()
 
 
-def _fe_key(x: FieldElement):
-    """Index key of a coordinate: its normal-form integers."""
-    return (x.p, x.q, x.d)
+# index key of a coordinate: its normal-form integers
+_fe_key = FieldElement.normal_form
 
 
 @dataclass
@@ -371,10 +386,28 @@ def primitive_elements(bound: int) -> list[LatticeElement]:
     return out
 
 
+def _kept(fn, by=None):
+    """``fn``, computed once per distinct argument by the returned function.
+
+    ``by`` names the argument, such as `id` for objects held through its use.
+    """
+    kept = {}
+
+    def get(x):
+        k = x if by is None else by(x)
+        y = kept.get(k)
+        if y is None:
+            y = kept[k] = fn(x)
+        return y
+
+    return get
+
+
 def _dedupe_gluings(records) -> list[Gluing]:
+    seg_key = _kept(BoundarySegment.key, by=id)  # records share their segments
     seen = {}
     for g in records:
-        seen[g.key()] = g
+        seen[g.key(seg_key)] = g
     return [seen[k] for k in sorted(seen)]
 
 
@@ -405,14 +438,15 @@ def build_positive(bound: int) -> Atlas:
     Q = GroundField.rational()
     torus = TorusChamber()
     prims = primitive_elements(bound)
-    chambers = [torus] + [CylChamber(u) for u in prims]
+    cyl = {u: CylChamber(u) for u in prims}
+    chambers = [torus, *cyl.values()]
 
     def records_for(gamma: LatticeElement):
         one = Q.element(1)
         slit_l = BoundarySegment(torus, ("slit", gamma, "L"), one, None)
         slit_r = BoundarySegment(torus, ("slit", gamma, "R"), one, None)
-        ray_pos = BoundarySegment(CylChamber(gamma), ("line",), Q.element(0), None)
-        ray_neg = BoundarySegment(CylChamber(-gamma), ("line",), None, Q.element(0))
+        ray_pos = BoundarySegment(cyl[gamma], ("line",), Q.element(0), None)
+        ray_neg = BoundarySegment(cyl[-gamma], ("line",), None, Q.element(0))
         return [
             Gluing(slit_l, ray_pos, +1, Q.element(-1)),
             Gluing(slit_r, ray_neg, -1, Q.element(1)),
@@ -478,19 +512,18 @@ def build_negative(bound: int) -> Atlas:
     Q = GroundField.rational()
     prims = primitive_elements(bound)
     triples = coordinate_triples(bound)
-    chambers = [CylChamber(u) for u in prims] + [DegChamber(t) for t in triples]
-    chambers.sort(key=_chamber_key)
+    cyl = {u: CylChamber(u) for u in prims}
+    deg = {T: DegChamber(T) for T in triples}
+    chambers = sorted([*cyl.values(), *deg.values()], key=_chamber_key)
 
     def records_for(T: CharacteristicTriple):
         recs = []
         for i in (1, 2, 3):
             a, b, _ = T.rotated(i - 1)
             m = _partner_offset(a, b)
-            seg_side = BoundarySegment(
-                DegChamber(T), ("side", i), Q.element(0), Q.element(1)
-            )
+            seg_side = BoundarySegment(deg[T], ("side", i), Q.element(0), Q.element(1))
             seg_line = BoundarySegment(
-                CylChamber(a), ("line",), Q.element(m), Q.element(m + 1)
+                cyl[a], ("line",), Q.element(m), Q.element(m + 1)
             )
             recs.append(Gluing(seg_side, seg_line, +1, Q.element(m)))
         return recs
@@ -540,13 +573,17 @@ def _deg_vertex_table(T: CharacteristicTriple):
     }
 
 
-def _deg_vertex_of_germ(part, v: Fraction):
+_DEG_CORNER_AT = {(1, 0): "v0", (2, 1): "v0", (1, 1): "v1", (3, 0): "v1", (2, 0): "v2",
+                  (3, 1): "v2"}
+
+
+def _deg_vertex_of_germ(part, v: int):
+    """The corner at integer parameter ``v`` of a triangle side."""
     i = part[1]
-    at = {(1, 0): "v0", (2, 1): "v0", (1, 1): "v1", (3, 0): "v1", (2, 0): "v2", (3, 1): "v2"}
-    key = (i, int(v))
-    if key not in at:
+    key = (i, v)
+    if key not in _DEG_CORNER_AT:
         raise NotAVertex(f"side {i} has no corner at parameter {v}")
-    return at[key]
+    return _DEG_CORNER_AT[key]
 
 
 def _corner_ratio(chi: PeriodCharacter, d1: LatticeElement, d2: LatticeElement) -> FieldElement:
@@ -574,7 +611,7 @@ def _admissible_pairs(kmax: int):
     ]
 
 
-def _plus_records(k: int, l: int, kmax: int, Q: GroundField):
+def _plus_records(k: int, l: int, kmax: int, Q: GroundField, chamber=CylArithChamber):
     """Wall records with source CC^+_{k,l}, targets within kmax.
 
     The four families (with w the source coordinate, all orientation
@@ -584,8 +621,10 @@ def _plus_records(k: int, l: int, kmax: int, Q: GroundField):
     2. ``(-(n+1)k+l, -nk+l)`` -> CC^-_{(n+1)k-l, k}    at ``(-k, 0)``,  w + nk - l
     3. ``(0, l)``             -> CC^-_{l, (n'+1)l-k}   at ``(k-l, k)``, w + k - l
     4. ``(nk+l, (n+1)k+l)``   -> CC^-_{(n+1)k+l, nk+l} at ``(0, k)``,   w - nk - l
+
+    ``chamber(k, l, sign)`` gives the chamber objects.
     """
-    here = CylArithChamber(k, l, +1)
+    here = chamber(k, l, +1)
     recs = []
 
     def rec(lo, hi, k2, l2, c):
@@ -593,7 +632,7 @@ def _plus_records(k: int, l: int, kmax: int, Q: GroundField):
             return
         seg_a = BoundarySegment(here, ("line",), Q.element(lo), Q.element(hi))
         seg_b = BoundarySegment(
-            CylArithChamber(k2, l2, -1),
+            chamber(k2, l2, -1),
             ("line",),
             Q.element(lo + c),
             Q.element(hi + c),
@@ -621,13 +660,13 @@ def _plus_records(k: int, l: int, kmax: int, Q: GroundField):
     return recs
 
 
-def _iota_image(g: Gluing) -> Gluing:
+def _iota_image(g: Gluing, chamber=CylArithChamber) -> Gluing:
     """The marking involution (k,l,s) @ t -> (k,l,-s) @ -t on a record."""
 
     def flip_seg(seg: BoundarySegment) -> BoundarySegment:
         ch = seg.chamber
         return BoundarySegment(
-            CylArithChamber(ch.k, ch.l, -ch.sign),
+            chamber(ch.k, ch.l, -ch.sign),
             seg.part,
             None if seg.hi is None else -seg.hi,
             None if seg.lo is None else -seg.lo,
@@ -651,11 +690,14 @@ def build_arithmetic(kmax: int) -> Atlas:
     chi = PeriodCharacter.rational(1, 0)
     Q = GroundField.rational()
     pairs = _admissible_pairs(kmax)
-    chambers = [CylArithChamber(k, l, s) for (k, l) in pairs for s in (+1, -1)]
-    chambers.sort(key=_chamber_key)
+    own = {(k, l, s): CylArithChamber(k, l, s) for (k, l) in pairs for s in (+1, -1)}
+    chambers = sorted(own.values(), key=_chamber_key)
 
-    plus = [g for k, l in pairs for g in _plus_records(k, l, kmax, Q)]
-    records = plus + [_iota_image(g) for g in plus]
+    def chamber(k, l, sign):
+        return own[(k, l, sign)]
+
+    plus = [g for k, l in pairs for g in _plus_records(k, l, kmax, Q, chamber)]
+    records = plus + [_iota_image(g, chamber) for g in plus]
     gluings = _with_reverses(records)
 
     atlas = Atlas(
@@ -775,10 +817,10 @@ def build_nonarith(theta, bound: int) -> Atlas:
 
     prims = primitive_elements(bound)
     triples = coordinate_triples(bound)
-    chambers = [CylChamber(u) for u in prims]
-    chambers.sort(key=_chamber_key)
+    cyl = {u: CylChamber(u) for u in prims}
+    chambers = sorted(cyl.values(), key=_chamber_key)
 
-    records = [g for T in triples for g in _collapsed_records(chi, T)]
+    records = [g for T in triples for g in _collapsed_records(chi, T, cyl)]
     gluings = _with_reverses(records)
     atlas = Atlas(
         kind="nonarith_real",
@@ -793,8 +835,11 @@ def build_nonarith(theta, bound: int) -> Atlas:
     return atlas
 
 
-def _collapsed_records(chi: PeriodCharacter, T: CharacteristicTriple):
-    """The two limit gluings of one collapsed triangle, in value coordinates."""
+def _collapsed_records(chi: PeriodCharacter, T: CharacteristicTriple, cyl: dict):
+    """The two limit gluings of one collapsed triangle, in value coordinates.
+
+    ``cyl`` maps each side's period to its cylinder chamber.
+    """
     a1, a2, a3 = T.elements()
     p = chi.lattice_value(a1)
     q = -chi.lattice_value(a2)
@@ -819,11 +864,9 @@ def _collapsed_records(chi: PeriodCharacter, T: CharacteristicTriple):
         lo, hi = ends[j]
         if (hi - lo).sign() < 0:
             lo, hi = hi, lo
-        seg_a = BoundarySegment(
-            CylChamber(by_side[j]), ("line",), lo + phi[j], hi + phi[j]
-        )
+        seg_a = BoundarySegment(cyl[by_side[j]], ("line",), lo + phi[j], hi + phi[j])
         seg_b = BoundarySegment(
-            CylChamber(by_side[long_side]),
+            cyl[by_side[long_side]],
             ("line",),
             lo + phi[long_side],
             hi + phi[long_side],
@@ -837,22 +880,31 @@ def _collapsed_records(chi: PeriodCharacter, T: CharacteristicTriple):
 
 
 class _Unglued(IsoleafError):
-    pass
+    """A star walk ran into a boundary without a gluing.
+
+    Most are caught and dropped, so the germ is formatted only when the
+    message is read.
+    """
+
+    def __str__(self):
+        text, germ = self.args
+        return text.format(germ)
 
 
-def _cross(atlas: Atlas, germ):
+def _cross(atlas: Atlas, germ, key=None):
+    """The germ across the gluing at ``germ``; ``key`` is its `_germ_key` if known."""
     chamber, part, v, direction = germ
-    g = atlas._germ_index.get((chamber, part, _fe_key(v), direction))
+    g = atlas._germ_index.get(key or _germ_key(germ))
     if g is None:
-        raise _Unglued(f"no gluing at {germ}")
-    v2 = g.map_coord(v)
-    return (g.seg_b.chamber, g.seg_b.part, v2, g.sigma * direction)
+        raise _Unglued("no gluing at {}", germ)
+    return (g.seg_b.chamber, g.seg_b.part, g.map_coord(v), g.sigma * direction)
 
 
-def _other_germ(atlas: Atlas, germ, ratios: dict):
+def _other_germ(atlas: Atlas, germ, memo: dict):
     """The second boundary germ at this chamber corner, plus the sector.
 
-    ``ratios`` memoizes triangle corner ratios by (triple, corner).
+    ``memo`` keeps a walk's corner data: each triangle corner's sector and
+    germs by (chamber, corner), each cylinder vertex by its coordinate key.
     """
     chamber, part, v, direction = germ
     if isinstance(chamber, TorusChamber):
@@ -862,25 +914,29 @@ def _other_germ(atlas: Atlas, germ, ratios: dict):
         return (chamber, ("slit", gamma, other_side), v, +1), sector
     if isinstance(chamber, (CylChamber, CylArithChamber)):
         # the vertex reaches singularity ids: keep it as the pair (a, b)
-        sector = Sector(chamber, ("t", (v.a, v.b)), half_turns=1)
-        return (chamber, part, v, -direction), sector
+        key = _fe_key(v)
+        vertex = memo.get(key)
+        if vertex is None:
+            vertex = memo[key] = ("t", (v.a, v.b))
+        return (chamber, part, v, -direction), Sector(chamber, vertex, half_turns=1)
     if isinstance(chamber, DegChamber):
-        T = chamber.triple
-        label = _deg_vertex_of_germ(part, v.a)
-        g1, g2, (d1, d2) = _deg_vertex_table(T)[label]
-        ratio = ratios.get((T, label))
-        if ratio is None:
-            ratio = ratios[(T, label)] = _corner_ratio(atlas.character, d1, d2)
-        sector = Sector(chamber, ("corner", label), ratio=ratio)
-        Q = GroundField.rational()
-        mine = (part, int(v.a), direction)
-        if mine == g1:
-            o = g2
-        elif mine == g2:
-            o = g1
-        else:
+        p, _, d = _fe_key(v)
+        n = p // d if p >= 0 else -(-p // d)  # int(v.a), toward zero
+        label = _deg_vertex_of_germ(part, n)
+        corner = memo.get((chamber, label))
+        if corner is None:
+            g1, g2, (d1, d2) = _deg_vertex_table(chamber.triple)[label]
+            ratio = _corner_ratio(atlas.character, d1, d2)
+            sector = Sector(chamber, ("corner", label), ratio=ratio)
+            Q = GroundField.rational()
+            other = {g1: (chamber, g2[0], Q.element(g2[1]), g2[2]),
+                     g2: (chamber, g1[0], Q.element(g1[1]), g1[2])}
+            corner = memo[(chamber, label)] = (sector, other)
+        sector, other = corner
+        g_out = other.get((part, n, direction))
+        if g_out is None:
             raise NotAVertex(f"{germ} is not a corner germ of {chamber}")
-        return (chamber, o[0], Q.element(o[1]), o[2]), sector
+        return g_out, sector
     raise NotAVertex(f"unsupported chamber {chamber!r}")
 
 
@@ -889,15 +945,15 @@ def _germ_key(germ):
     return (chamber, part, _fe_key(v), direction)
 
 
-def _walk(atlas: Atlas, start, open_: dict, ratios: dict, max_steps=64):
+def _walk(atlas: Atlas, start, open_: dict, memo: dict, max_steps=64):
     """Sectors and germ keys (incoming and outgoing) of the star walk from ``start``.
 
     Raises `_Unglued` when the walk runs into a boundary without a gluing.
     ``open_`` maps the key of each incoming germ of such a walk to the
     number of steps its own walk takes to fail; the walk is a function of
     its germ, so a walk that reaches one of these stops there, and every
-    walk that fails records its incoming germs in ``open_``.  ``ratios``
-    is passed on to `_other_germ`.
+    walk that fails records its incoming germs in ``open_``.  ``memo`` is
+    passed on to `_other_germ`.
     """
     sectors, keys = [], []
     g_in = start
@@ -907,12 +963,13 @@ def _walk(atlas: Atlas, start, open_: dict, ratios: dict, max_steps=64):
         if left is not None:
             # the walk from here fails after `left` more steps
             _mark_open(open_, keys, step + left, max_steps, start)
-            raise _Unglued(f"{g_in} leads to an unglued boundary")
-        g_out, sector = _other_germ(atlas, g_in, ratios)
+            raise _Unglued("{} leads to an unglued boundary", g_in)
+        g_out, sector = _other_germ(atlas, g_in, memo)
         sectors.append(sector)
-        keys += (key, _germ_key(g_out))
+        key_out = _germ_key(g_out)
+        keys += (key, key_out)
         try:
-            g_in = _cross(atlas, g_out)
+            g_in = _cross(atlas, g_out, key_out)
         except _Unglued:
             _mark_open(open_, keys, step + 1, max_steps, start)
             raise
@@ -989,7 +1046,7 @@ def _collect_stars(atlas: Atlas) -> None:
     """
     visited = set()
     open_ = {}
-    ratios = {}
+    memo = {}
     stars = {}
     for g in atlas.gluings:
         seg = g.seg_a
@@ -1009,7 +1066,7 @@ def _collect_stars(atlas: Atlas) -> None:
             ):
                 tag = "pinched_torus"
             try:
-                sectors, keys = _walk(atlas, germ, open_, ratios)
+                sectors, keys = _walk(atlas, germ, open_, memo)
             except (_Unglued, NotAVertex):
                 continue
             star = _star(atlas, sectors, tag=tag)
@@ -1492,12 +1549,6 @@ def _check_connectivity(atlas: Atlas):
 _SCHEMA = "isoleaf-atlas/1"
 
 
-def _fe_json(x: FieldElement | None):
-    if x is None:
-        return None
-    return x.to_json()
-
-
 def _chamber_json(c):
     if isinstance(c, TorusChamber):
         return {"type": "torus"}
@@ -1520,17 +1571,30 @@ _KIND_CHAMBERS = {
 }
 
 
-def _chamber_from_json(d, kind: str):
-    if d["type"] not in _KIND_CHAMBERS[kind]:
-        raise ValueError(f"{d['type']!r} is not a chamber type of {kind} atlases")
-    if d["type"] == "torus":
-        return TorusChamber()
-    if d["type"] == "cyl":
-        return CylChamber(LatticeElement(int(d["u"][0]), int(d["u"][1])))
-    if d["type"] == "cyl_arith":
-        return CylArithChamber(int(d["k"]), int(d["l"]), int(d["sign"]))
-    e = [LatticeElement(int(m), int(n)) for m, n in d["triple"]]
-    return DegChamber(CharacteristicTriple.make(*e))
+# per chamber type: the JSON fields that name a chamber (its intern key), and
+# the chamber they name
+_CHAMBER_FROM_JSON = {
+    "torus": (lambda d: (), TorusChamber),
+    "cyl": (lambda d: (d["u"][0], d["u"][1]),
+            lambda m, n: CylChamber(LatticeElement(int(m), int(n)))),
+    "cyl_arith": (lambda d: (d["k"], d["l"], d["sign"]),
+                  lambda k, l, sign: CylArithChamber(int(k), int(l), int(sign))),
+    "deg": (lambda d: tuple(map(tuple, d["triple"])),
+            lambda *e: DegChamber(CharacteristicTriple.make(
+                *(LatticeElement(int(m), int(n)) for m, n in e)))),
+}
+
+
+def _interned(memo: dict, key, make, *args):
+    """``memo[key]``, made as ``make(*args)`` on first use.  A key that cannot
+    be hashed holds a list or dict where a number belongs: ``make`` rejects it."""
+    try:
+        value = memo.get(key)
+    except TypeError:
+        return make(*args)
+    if value is None:
+        value = memo[key] = make(*args)
+    return value
 
 
 def _part_json(part):
@@ -1562,45 +1626,77 @@ def _part_from_json(data, chamber):
     raise ValueError(f"{data!r} is not a boundary part of a {tag} chamber")
 
 
-def _seg_json(seg: BoundarySegment):
-    return {
-        "chamber": _chamber_json(seg.chamber),
-        "part": _part_json(seg.part),
-        "lo": _fe_json(seg.lo),
-        "hi": _fe_json(seg.hi),
-    }
+class _JsonReader:
+    """Reads the pieces of one atlas document, making each distinct one once.
 
+    Chambers and coordinates are interned by their JSON fields, boundary
+    parts by value and segments by their interned pieces.  So every segment
+    side *is* the matching entry of the chamber list, and the star walk's
+    lookups and comparisons of equal chambers stop at identity.
+    """
 
-def _seg_from_json(d, fld: GroundField, kind: str):
-    chamber = _chamber_from_json(d["chamber"], kind)
-    return BoundarySegment(
-        chamber,
-        _part_from_json(d["part"], chamber),
-        None if d["lo"] is None else FieldElement.from_json(fld, d["lo"]),
-        None if d["hi"] is None else FieldElement.from_json(fld, d["hi"]),
-    )
+    def __init__(self, kind: str, fld: GroundField):
+        self.kind, self.fld = kind, fld
+        self.chambers, self.parts, self.coords, self.segments = {}, {}, {}, {}
+
+    def chamber(self, d):
+        tag = d["type"]
+        if tag not in _KIND_CHAMBERS[self.kind]:
+            raise ValueError(f"{tag!r} is not a chamber type of {self.kind} atlases")
+        fields, make = _CHAMBER_FROM_JSON[tag]
+        key = fields(d)
+        return _interned(self.chambers, (tag, *key), make, *key)
+
+    def coord(self, data):
+        try:
+            key = tuple(map(tuple, data))
+        except TypeError:  # not a list of pairs: the parse says why
+            return FieldElement.from_json(self.fld, data)
+        return _interned(self.coords, key, FieldElement.from_json, self.fld, data)
+
+    def segment(self, d):
+        chamber = self.chamber(d["chamber"])
+        part = _part_from_json(d["part"], chamber)
+        part = self.parts.setdefault(part, part)
+        lo = None if d["lo"] is None else self.coord(d["lo"])
+        hi = None if d["hi"] is None else self.coord(d["hi"])
+        # the pieces are interned and held by the memos: their ids name them
+        key = (id(chamber), id(part), id(lo), id(hi))
+        return _interned(self.segments, key, BoundarySegment, chamber, part, lo, hi)
 
 
 def atlas_to_json_dict(atlas: Atlas) -> dict:
-    """Canonical JSON form (deterministic ordering, exact coordinates)."""
-    gluings = sorted(atlas.gluings, key=lambda g: g.key())
+    """Canonical JSON form (deterministic ordering, exact coordinates).
+
+    One call computes the JSON of each distinct chamber, boundary part,
+    coordinate and segment once and puts that one object wherever it
+    occurs, so the output shares equal leaves (chamber dicts, part lists,
+    coordinate lists, segment dicts).  Deep-copy it before editing those in
+    place.  Separate calls share no object.
+    """
+    chamber_json, part_json = _kept(_chamber_json), _kept(_part_json)
+    fe_json = _kept(FieldElement.to_json)
+    # the atlas holds each segment through the call, so its id names it
+    seg_key = _kept(BoundarySegment.key, by=id)
+    seg_json = _kept(lambda seg: {
+        "chamber": chamber_json(seg.chamber),
+        "part": part_json(seg.part),
+        "lo": None if seg.lo is None else fe_json(seg.lo),
+        "hi": None if seg.hi is None else fe_json(seg.hi),
+    }, by=id)
+    gluings = sorted(atlas.gluings, key=lambda g: g.key(seg_key))
     sings = sorted(atlas.singularities, key=lambda s: s.ident)
     return {
         "schema": _SCHEMA,
         "kind": atlas.kind,
         "character": atlas.character.to_json_dict(),
         "bound": str(atlas.bound),
-        "chambers": [_chamber_json(c) for c in sorted(atlas.chambers, key=_chamber_key)],
+        "chambers": [chamber_json(c) for c in sorted(atlas.chambers, key=_chamber_key)],
         "gluings": [
-            {
-                "a": _seg_json(g.seg_a),
-                "b": _seg_json(g.seg_b),
-                "sigma": g.sigma,
-                "c": _fe_json(g.c),
-            }
+            {"a": seg_json(g.seg_a), "b": seg_json(g.seg_b), "sigma": g.sigma, "c": fe_json(g.c)}
             for g in gluings
         ],
-        "truncated": [_seg_json(s) for s in atlas.truncated],
+        "truncated": [seg_json(s) for s in atlas.truncated],
         "singularities": [
             {
                 "id": _ident_json(s.ident),
@@ -1646,19 +1742,14 @@ def atlas_from_json_dict(data: dict) -> Atlas:
             raise IsoleafError(f"unknown atlas kind {kind!r}")
         if classify(chi).kind != kind:
             raise IsoleafError(f"the character of a {kind} atlas is {classify(chi).kind}")
-        fld = chi.field if kind == "nonarith_real" else GroundField.rational()
-        chambers = [_chamber_from_json(c, kind) for c in data["chambers"]]
+        read = _JsonReader(kind, chi.field if kind == "nonarith_real" else GroundField.rational())
+        chambers = [read.chamber(c) for c in data["chambers"]]
         gluings = [
-            Gluing(
-                _seg_from_json(g["a"], fld, kind),
-                _seg_from_json(g["b"], fld, kind),
-                int(g["sigma"]),
-                FieldElement.from_json(fld, g["c"]),
-            )
+            Gluing(read.segment(g["a"]), read.segment(g["b"]), int(g["sigma"]), read.coord(g["c"]))
             for g in data["gluings"]
         ]
         bound = int(data["bound"])
-        truncated = [_seg_from_json(s, fld, kind) for s in data["truncated"]]
+        truncated = [read.segment(s) for s in data["truncated"]]
     except KeyError as exc:
         raise IsoleafError(f"malformed atlas: missing key {exc}") from None
     except (IndexError, TypeError, ValueError) as exc:

@@ -653,6 +653,10 @@ class FieldElement:
         ga, gb = gcd(p, d), gcd(q, d)
         return (p // ga, d // ga, q // gb, d // gb)
 
+    def normal_form(self) -> tuple[int, int, int]:
+        """The integers ``(p, q, d)``, a cheap dict key within one field."""
+        return (self._p, self._q, self._d)
+
     def to_json(self) -> list[list[str]]:
         an, ad, bn, bd = self.fraction_parts()
         if self._field.tag == "rational":

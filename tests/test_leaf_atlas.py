@@ -693,6 +693,22 @@ class TestNegativeAtlas:
         with pytest.raises(NotAVertex):
             singularity_star(atlas, (CylChamber(lat(1, 0)), 5))
 
+    def test_incomplete_vertex_message_names_the_germ(self):
+        with pytest.raises(NotAVertex) as info:
+            singularity_star(build_negative(1), (CylChamber(lat(1, 0)), 5))
+        assert str(info.value) == (
+            "(CylChamber(u=LatticeElement(m=1, n=0)), 5) is not an interior vertex of the "
+            "atlas: no gluing at (CylChamber(u=LatticeElement(m=1, n=0)), ('line',), 5, -1)"
+        )
+
+    def test_walk_into_an_open_germ_names_it(self):
+        atlas = build_negative(1)
+        g = atlas.gluings[0]
+        germ = (g.seg_a.chamber, g.seg_a.part, g.seg_a.lo, +1)
+        with pytest.raises(_Unglued) as info:
+            leaf_atlas._walk(atlas, germ, {leaf_atlas._germ_key(germ): 1}, {})
+        assert str(info.value) == f"{germ} leads to an unglued boundary"
+
 
 class TestStarWalkCost:
     """Each germ starts at most one `_other_germ` step; each corner ratio is computed once."""
@@ -1001,6 +1017,89 @@ class TestAtlasJson:
                         continue
                     with pytest.raises(IsoleafError, match=f"'{tag}' is not a chamber type of"):
                         atlas_from_json_dict(bad)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_positive(4),
+            lambda: build_negative(4),
+            lambda: build_arithmetic(8),
+            lambda: build_nonarith(GroundField.quadratic(2).element(-1, 1), 3),
+        ],
+        ids=["positive-4", "negative-4", "arithmetic-8", "nonarith-3"],
+    )
+    def test_one_object_per_chamber(self, build):
+        built = build()
+        loaded = atlas_from_json_dict(json.loads(json.dumps(atlas_to_json_dict(built))))
+        for atlas in (built, loaded):
+            own = {id(c) for c in atlas.chambers}
+            assert len(own) == len(set(atlas.chambers)) == len(built.chambers)
+            segs = [s for g in atlas.gluings for s in (g.seg_a, g.seg_b)] + atlas.truncated
+            assert all(id(s.chamber) in own for s in segs)
+        # the loader makes each distinct part and coordinate once, too
+        segs = [s for g in loaded.gluings for s in (g.seg_a, g.seg_b)] + loaded.truncated
+        parts = [s.part for s in segs]
+        coords = [x for s in segs for x in (s.lo, s.hi) if x is not None]
+        coords += [g.c for g in loaded.gluings]
+        for values in (parts, coords):
+            assert len({id(x) for x in values}) == len(set(values))
+
+    def test_each_dump_is_its_own(self):
+        atlas = build_negative(2)
+        first, second = atlas_to_json_dict(atlas), atlas_to_json_dict(atlas)
+        assert first == second
+
+        def containers(x, out):
+            if isinstance(x, (dict, list)):
+                out.add(id(x))
+                for y in x.values() if isinstance(x, dict) else x:
+                    containers(y, out)
+            return out
+
+        assert not containers(first, set()) & containers(second, set())
+        # one call's leaves are shared: an edit in place shows in many places
+        glued = first["gluings"][0]["a"]
+        glued["chamber"]["u"][0] = "99"
+        glued["lo"][0][0] = "99"
+        glued["part"].append("edited")
+        assert atlas_to_json_dict(atlas) == second
+
+    @pytest.mark.parametrize("value", [[], {}, ["1"], [["1", "0"]], {"x": 1}, {1}, object()])
+    def test_unhashable_or_foreign_chamber_fields_rejected(self, value):
+        docs = [atlas_to_json_dict(build_negative(1)), atlas_to_json_dict(build_arithmetic(2))]
+        paths = {
+            "cyl": [("u", 0), ("u", 1), ("u",)],
+            "deg": [("triple", 0), ("triple", 1, 0), ("triple",)],
+            "cyl_arith": [("k",), ("l",), ("sign",)],
+        }
+        for doc in docs:
+            for where in ("chambers", "gluings", "truncated"):
+                for tag, fields in paths.items():
+                    for path in fields:
+                        bad = json.loads(json.dumps(doc))
+                        if where == "chambers":
+                            chamber = next((c for c in bad["chambers"] if c["type"] == tag), None)
+                        elif where == "gluings":
+                            chamber = bad["gluings"][-1]["a"]["chamber"]
+                        else:
+                            chamber = bad["truncated"][0]["chamber"]
+                        if chamber is None or chamber["type"] != tag:
+                            continue
+                        node = chamber
+                        for key in path[:-1]:
+                            node = node[key]
+                        node[path[-1]] = value
+                        with pytest.raises(IsoleafError) as info:
+                            atlas_from_json_dict(bad)
+                        assert "\n" not in str(info.value)
+
+    def test_unhashable_coordinates_rejected(self):
+        doc = atlas_to_json_dict(build_negative(1))
+        for value in ([[[], "1"]], [[{"x": 1}, "1"]], [{"x": 1}], [{1}], 5, None):
+            bad = json.loads(json.dumps(doc))
+            bad["gluings"][0]["c"] = value
+            with pytest.raises(IsoleafError, match="malformed field element"):
+                atlas_from_json_dict(bad)
 
     def test_singularity_records_preserved(self):
         atlas = build_arithmetic(3)
