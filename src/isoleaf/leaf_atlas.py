@@ -1259,19 +1259,18 @@ class WallTree:
     quotient_edges: list
 
 
-def _wall_orbit_key(g: Gluing):
-    flipped = _iota_image(g)
-    return min(v.key() for v in (g, g.reverse(), flipped, flipped.reverse()))
-
-
-def _wall_endpoint_vertex(star_at: dict, g: Gluing, which: str):
+def _wall_end(star_at: dict, g: Gluing, v):
+    """``(ident, truncated)`` of the wall end at coordinate ``v`` of its source."""
     seg = g.seg_a
-    v = seg.lo if which == "lo" else seg.hi
+    if v is None:
+        raise IsoleafError(
+            f"the wall of {seg.chamber} on ({seg.lo}, {seg.hi}) has an infinite end"
+        )
     if seg.chamber.k == 1 and v.is_zero():
         return ("center",), False
-    # the corner's sector, as `_other_germ` names it; no star means the
-    # walk around this corner runs into an unglued ray
-    ident = star_at.get((seg.chamber, ("t", (v.a, v.b))))
+    # the corner's sector, by its chamber and exact coordinate; no star
+    # means the walk around this corner runs into an unglued ray
+    ident = star_at.get((seg.chamber, *v.fraction_parts()))
     return ident, ident is None
 
 
@@ -1279,32 +1278,37 @@ def wall_tree(atlas: Atlas) -> WallTree:
     """Unfold the wall set of an arithmetic atlas into its rooted tree.
 
     Wall endpoints are looked up in the stars the atlas already holds
-    (``atlas.singularities``), and each wall's keys are computed once.
+    (``atlas.singularities``).  Each wall is keyed once, and its orbit key
+    is derived from that key (:func:`_orbit_key`).  A marked wall with an
+    infinite end raises `IsoleafError`.
     """
     if atlas.kind != "arith_real":
         raise WrongLeafKind("wall trees are defined for arithmetic atlases")
-    star_at = {
-        (sector.chamber, sector.vertex): star.ident
-        for star in atlas.singularities
-        for sector in star.sectors
-    }
+    # a sector's vertex is ``("t", (a, b))`` (see `_other_germ`); keyed here
+    # by the integers of `FieldElement.fraction_parts`, hashed without Fractions
+    star_at = {}
+    for star in atlas.singularities:
+        for sector in star.sectors:
+            a, b = sector.vertex[1]
+            key = (sector.chamber, a.numerator, a.denominator, b.numerator, b.denominator)
+            star_at[key] = star.ident
     # one marked wall per record pair: keep source = plus chamber
     marked = {}
     for g in atlas.gluings:
         if g.seg_a.chamber.sign == +1:
-            marked[g.seg_a.key()] = g
-    walls = list(marked.values())
+            key = g.key()
+            marked[key[0]] = g, key
     # per wall, by id: endpoint (ident, truncated) pairs, orbit key, record key
     ends, orbit, order = {}, {}, {}
     by_vertex = {}
-    for g in walls:
-        pair = [_wall_endpoint_vertex(star_at, g, which) for which in ("lo", "hi")]
+    for g, key in marked.values():
+        pair = (_wall_end(star_at, g, g.seg_a.lo), _wall_end(star_at, g, g.seg_a.hi))
         for ident, _ in pair:
             if ident is not None:
                 by_vertex.setdefault(ident, []).append(g)
         ends[id(g)] = pair
-        orbit[id(g)] = _wall_orbit_key(g)
-        order[id(g)] = g.key()
+        orbit[id(g)] = _orbit_key(g, key)
+        order[id(g)] = key
     # per vertex: the least wall of each incident orbit, in orbit-key order
     branches_at = {}
     for ident, incident in by_vertex.items():
@@ -1314,29 +1318,30 @@ def wall_tree(atlas: Atlas) -> WallTree:
             if key not in reps or order[id(h)] < order[id(reps[key])]:
                 reps[key] = h
         branches_at[ident] = sorted(reps.items())
-
-    def grow(g: Gluing, came_from: tuple, depth: int) -> WallTreeNode:
-        (id_lo, tr_lo), (id_hi, tr_hi) = ends[id(g)]
-        if id_lo == came_from and id_hi != came_from:
-            far, trunc = id_hi, tr_hi
-        else:
-            far, trunc = id_lo, tr_lo
-        length = g.seg_a.hi.a - g.seg_a.lo.a
-        node = WallTreeNode(
-            record=g, length=length, far_vertex=far, truncated=trunc, children=[]
-        )
-        if trunc or far is None or far == ("center",) or depth <= 0:
-            return node
-        for key, rep in branches_at.get(far, ()):
-            if key != orbit[id(g)]:
-                node.children.append(grow(rep, far, depth - 1))
-        return node
-
-    roots = [g for g in walls if ("center",) in [e[0] for e in ends[id(g)]]]
+    roots = [g for g, _ in marked.values() if ("center",) in [e[0] for e in ends[id(g)]]]
     roots.sort(key=lambda g: order[id(g)])
-    branches = [grow(g, ("center",), depth=4 * atlas.bound + 8) for g in roots]
+    tables = (ends, orbit, branches_at)
+    branches = [_grow(tables, g, ("center",), 4 * atlas.bound + 8) for g in roots]
     quotient = sorted(set(orbit.values()))
     return WallTree(root=("center",), branches=branches, quotient_edges=quotient)
+
+
+def _grow(tables, g: Gluing, came_from: tuple, depth: int) -> WallTreeNode:
+    """The subtree of `wall_tree` below wall ``g``, entered from ``came_from``."""
+    ends, orbit, branches_at = tables
+    (id_lo, tr_lo), (id_hi, tr_hi) = ends[id(g)]
+    if id_lo == came_from and id_hi != came_from:
+        far, trunc = id_hi, tr_hi
+    else:
+        far, trunc = id_lo, tr_lo
+    length = g.seg_a.hi.a - g.seg_a.lo.a
+    node = WallTreeNode(record=g, length=length, far_vertex=far, truncated=trunc, children=[])
+    if trunc or far is None or far == ("center",) or depth <= 0:
+        return node
+    for key, rep in branches_at.get(far, ()):
+        if key != orbit[id(g)]:
+            node.children.append(_grow(tables, rep, far, depth - 1))
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -1410,6 +1415,14 @@ def _iota_key(g: Gluing, key):
         return None
     seg_a, seg_b, sigma, c = key
     return (_iota_seg_key(seg_a), _iota_seg_key(seg_b), sigma, _neg_coord_key(c))
+
+
+def _orbit_key(g: Gluing, key):
+    """The least key of ``g``, its reverse and their marking-involution
+    images, from ``key = g.key()``: one key per wall orbit."""
+    rev = _reverse_key(g, key)
+    # the involution image of the reverse is the reverse of the image
+    return min(key, rev, _iota_key(g, key), _iota_key(g, rev))
 
 
 def _iota_seg_key(key):
@@ -1711,15 +1724,19 @@ def atlas_to_json_dict(atlas: Atlas) -> dict:
     }
 
 
-def _ident_json(ident):
-    def enc(x):
-        if isinstance(x, tuple):
-            return [enc(y) for y in x]
-        if isinstance(x, Fraction):
-            return f"{x.numerator}/{x.denominator}"
-        return x
+def _ident_json(x):
+    if isinstance(x, tuple):
+        return [_ident_json(y) for y in x]
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    return x
 
-    return enc(ident)
+
+def _sigma(data) -> int:
+    # a gluing is an isometry: its linear part is the JSON integer 1 or -1
+    if type(data) is not int or data not in (1, -1):
+        raise ValueError(f"a gluing's sigma is 1 or -1, got {data!r}")
+    return data
 
 
 def atlas_from_json_dict(data: dict) -> Atlas:
@@ -1745,7 +1762,8 @@ def atlas_from_json_dict(data: dict) -> Atlas:
         read = _JsonReader(kind, chi.field if kind == "nonarith_real" else GroundField.rational())
         chambers = [read.chamber(c) for c in data["chambers"]]
         gluings = [
-            Gluing(read.segment(g["a"]), read.segment(g["b"]), int(g["sigma"]), read.coord(g["c"]))
+            Gluing(read.segment(g["a"]), read.segment(g["b"]), _sigma(g["sigma"]),
+                   read.coord(g["c"]))
             for g in data["gluings"]
         ]
         bound = int(data["bound"])

@@ -21,7 +21,6 @@ Pictures:
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -120,97 +119,73 @@ class Scene:
         return "0.0000" if out == "-0.0000" else out
 
     def emit(self) -> str:
-        st = self.style
-        width = float((self.xmax - self.xmin) * st.scale)
-        height = float((self.ymax - self.ymin) * st.scale)
-        root = ET.Element(
-            "svg",
-            {
-                "xmlns": "http://www.w3.org/2000/svg",
-                "version": "1.1",
-                "width": self._fmt(width),
-                "height": self._fmt(height),
-                "viewBox": f"0 0 {self._fmt(width)} {self._fmt(height)}",
-            },
-        )
-        ET.SubElement(
-            root,
-            "rect",
-            {
-                "class": "bg",
-                "x": "0",
-                "y": "0",
-                "width": self._fmt(width),
-                "height": self._fmt(height),
-                "fill": "#ffffff",
-            },
-        )
+        """The SVG text, as ElementTree would serialize it: attributes in
+        insertion order, ``" />"`` closing empty elements, its escaping."""
+        st, fmt, pos = self.style, self._fmt, self._map
+        attr = _Attrs()
+        width = fmt(float((self.xmax - self.xmin) * st.scale))
+        height = fmt(float((self.ymax - self.ymin) * st.scale))
+        radius = fmt(st.marker_radius)
+        font_size = attr(str(st.font_size))
+        out = [
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">'
+            f'<rect class="bg" x="0" y="0" width="{width}" height="{height}" fill="#ffffff" />'
+        ]
         for kind, geom, arg, extra, color in self.layers:
             if kind == "line":
-                (a, b) = geom
-                ax, ay = self._map(a)
-                bx, by = self._map(b)
-                attrs = {
-                    "class": arg,
-                    "x1": self._fmt(ax),
-                    "y1": self._fmt(ay),
-                    "x2": self._fmt(bx),
-                    "y2": self._fmt(by),
-                    "stroke": color or st.stroke,
-                    "stroke-width": "1.5",
-                }
-                if extra:
-                    attrs["stroke-dasharray"] = "5,4"
-                ET.SubElement(root, "line", attrs)
-            elif kind == "polygon":
-                pts = " ".join(
-                    f"{self._fmt(x)},{self._fmt(y)}"
-                    for x, y in (self._map(p) for p in geom)
+                ax, ay = pos(geom[0])
+                bx, by = pos(geom[1])
+                dash = ' stroke-dasharray="5,4"' if extra else ""
+                out.append(
+                    f'<line class="{attr(arg)}" x1="{fmt(ax)}" y1="{fmt(ay)}" x2="{fmt(bx)}" '
+                    f'y2="{fmt(by)}" stroke="{attr(color or st.stroke)}" '
+                    f'stroke-width="1.5"{dash} />'
                 )
-                ET.SubElement(
-                    root,
-                    "polygon",
-                    {
-                        "class": arg,
-                        "points": pts,
-                        "fill": extra or st.fill,
-                        "stroke": color or st.stroke,
-                        "stroke-width": "1.2",
-                    },
+            elif kind == "polygon":
+                pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in map(pos, geom))
+                out.append(
+                    f'<polygon class="{attr(arg)}" points="{pts}" '
+                    f'fill="{attr(extra or st.fill)}" stroke="{attr(color or st.stroke)}" '
+                    f'stroke-width="1.2" />'
                 )
             elif kind == "marker":
-                x, y = self._map(geom)
-                black = arg == "b"
-                ET.SubElement(
-                    root,
-                    "circle",
-                    {
-                        "class": f"marker-{arg}",
-                        "cx": self._fmt(x),
-                        "cy": self._fmt(y),
-                        "r": self._fmt(st.marker_radius),
-                        "fill": "#000000" if black else "#ffffff",
-                        "stroke": "#000000",
-                        "stroke-width": "1.2",
-                    },
+                x, y = pos(geom)
+                out.append(
+                    f'<circle class="{attr(f"marker-{arg}")}" cx="{fmt(x)}" cy="{fmt(y)}" '
+                    f'r="{radius}" fill="{"#000000" if arg == "b" else "#ffffff"}" '
+                    f'stroke="#000000" stroke-width="1.2" />'
                 )
             elif kind == "text":
-                x, y = self._map(geom)
-                el = ET.SubElement(
-                    root,
-                    "text",
-                    {
-                        "class": extra,
-                        "x": self._fmt(x),
-                        "y": self._fmt(y),
-                        "fill": color or st.label_color,
-                        "font-family": "monospace",
-                        "font-size": str(st.font_size),
-                    },
+                x, y = pos(geom)
+                head = (
+                    f'<text class="{attr(extra)}" x="{fmt(x)}" y="{fmt(y)}" '
+                    f'fill="{attr(color or st.label_color)}" font-family="monospace" '
+                    f'font-size="{font_size}"'
                 )
-                el.text = arg
-        body = ET.tostring(root, encoding="unicode")
-        return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+                out.append(f"{head}>{arg.translate(_TEXT_ESCAPES)}</text>" if arg else f"{head} />")
+        out.append("</svg>\n")
+        return "".join(out)
+
+
+class _Attrs(dict):
+    """Escaped attribute values, each distinct value escaped once."""
+
+    def __call__(self, value: str) -> str:
+        out = self.get(value)
+        if out is None:
+            out = self[value] = value.translate(_ATTR_ESCAPES)
+        return out
+
+
+# ElementTree's escaping: in attribute values these seven characters, in
+# text the first three
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 # ---------------------------------------------------------------------------
@@ -357,27 +332,28 @@ def _length_text(length) -> str:
     return str(frac.numerator) if frac.denominator == 1 else str(frac)
 
 
+def _place(node, x0: int, depth: int, parent, width: dict, positions: list, edges: list):
+    """Lay out the subtree of ``node`` from column ``x0`` at row ``depth``."""
+    here = (x0 + Fraction(width[id(node)], 2), Fraction(-depth))
+    positions.append((here, node.truncated))
+    edges.append((parent, here, node.length, node.truncated))
+    cx = x0
+    for child in node.children:
+        _place(child, cx, depth + 1, here, width, positions, edges)
+        cx += width[id(child)]
+
+
 def _render_wall_tree(atlas: Atlas, style: Style) -> str:
     """The unfolded wall tree, rooted at the center, edge lengths in red."""
     tree = wall_tree(atlas)
     positions: list[tuple] = []
     edges: list[tuple] = []
     width: dict = {}
-
-    def place(node, x0: int, depth: int, parent):
-        here = (x0 + Fraction(width[id(node)], 2), Fraction(-depth))
-        positions.append((here, node.truncated))
-        edges.append((parent, here, node.length, node.truncated))
-        cx = x0
-        for child in node.children:
-            place(child, cx, depth + 1, here)
-            cx += width[id(child)]
-
     total = sum(_tree_widths(b, width) for b in tree.branches) or 1
     rootp = (Fraction(total, 2), Fraction(0))
     cx = 0
     for b in tree.branches:
-        place(b, cx, 1, rootp)
+        _place(b, cx, 1, rootp, width, positions, edges)
         cx += width[id(b)]
 
     pts = [rootp] + [p for p, _ in positions]

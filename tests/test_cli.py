@@ -430,6 +430,30 @@ class TestAtlasCommands:
         assert len(errors) == 1 and errors[0].startswith("error:"), proc.stderr
         assert "'cyl' is not a chamber type" in errors[0]
 
+    def test_wall_with_an_infinite_end_exits_1_in_one_line(self, capsys, tmp_path):
+        # a plus-side wall of CC^+_{1,0} made a ray: `atlas check` reports it,
+        # and `render` names the wall without a traceback
+        path = tmp_path / "arith.json"
+        invoke(capsys, ["atlas", "build", "--kind", "arithmetic", "--kmax", "3", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        rec = next(g for g in doc["gluings"] if g["a"]["chamber"]["sign"] == 1)
+        rec["a"]["lo"] = None
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, ["atlas", "check", str(path)])
+        assert code == 1 and "FAIL wall-surface-match" in out
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoleaf.cli", "render", "--atlas", str(path),
+             "--out", str(tmp_path / "a.svg")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("isoleaf:")]
+        assert errors == [
+            "error: the wall of CylArithChamber(k=1, l=0, sign=1) on (None, -2) has an infinite end"
+        ], proc.stderr
+        assert not (tmp_path / "a.svg").exists()
+
     @pytest.mark.parametrize(
         "case",
         ["schema-only", "list", "zero-denominator", "two-coordinates-over-Q", "non-integer",

@@ -5,7 +5,9 @@ integers; those of ``arithmetic-24`` before the wall tree read its
 endpoint stars from the atlas and the viewport map went to integers;
 those of ``negative-12`` and ``nonarith-sqrt2-8`` (the sizes the benchmark
 builds) before triples were enumerated by partner and each star germ was
-walked once.  A change to the kernel, the atlas builders or the renderer that
+walked once; those of ``arithmetic-40`` and ``positive-12`` (the other
+benchmark sizes) before each wall was keyed once and the SVG was written
+as text instead of through ElementTree.  A change to the kernel, the atlas builders or the renderer that
 alters a single byte of the canonical JSON (chamber order, gluing order,
 coordinate text, singularity ids) or of the SVG fails here, even when the
 atlas still round-trips and passes `check_atlas`.
@@ -39,6 +41,11 @@ GOLDEN = {
         "fdb7011ca4b5dc271d16cbfe36095bfd36d39f7fbada60cdd060db86281a74fe",
         "98fea57cfa55b3cb2c3060c40d14b7a0af22a16891e1a3c0687c53db37d38f82",
     ),
+    "arithmetic-40": (
+        lambda: build_arithmetic(40),
+        "eafa9b2c8b7a4e34ea39d52cddf12d9f429ef2413614cbb0099f573c86d8a7a4",
+        "cbd02649390c9e7d6b62af96977a6862a3ec48feb8f694dd17b69d640f43b065",
+    ),
     "negative-6": (
         lambda: build_negative(6),
         "781ba5581cb1a6a690ce1b4a27b6ac8617661b28b205d010fb8f78d1895cdd0b",
@@ -53,6 +60,11 @@ GOLDEN = {
         lambda: build_positive(6),
         "44d13f375d0ed4e65b805b88cfdcc7b55070328c93d900f85f6c9a02247d9a08",
         "932d2b990709ca770abfcb64d2f3d5675677a361a497a71c97baa9c26b6cc8da",
+    ),
+    "positive-12": (
+        lambda: build_positive(12),
+        "35169292d01b19ab9a1abca3b670ddadb5295637669528f073de37848d4740a2",
+        "94b972fe4c739c4c003eae408c3cacd5cc05faf53ee2a0b50603e5fdce8247c7",
     ),
     "nonarith-sqrt2-6": (
         lambda: build_nonarith(GroundField.quadratic(2).element(0, 1), 6),

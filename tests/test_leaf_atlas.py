@@ -393,6 +393,15 @@ def _oracle_orbit_key(g):
     return min(v.key() for v in variants)
 
 
+@pytest.mark.parametrize("kmax", range(1, 13))
+def test_derived_orbit_key_is_the_least_of_four_gluing_keys(kmax):
+    atlas = build_arithmetic(kmax)
+    again = atlas_from_json_dict(json.loads(json.dumps(atlas_to_json_dict(atlas))))
+    for a in (atlas, again):
+        for g in a.gluings:
+            assert leaf_atlas._orbit_key(g, g.key()) == _oracle_orbit_key(g)
+
+
 def _oracle_endpoint(atlas, g, which):
     # a fresh star walk from the wall's endpoint germ
     seg = g.seg_a
@@ -993,6 +1002,19 @@ class TestAtlasJson:
             doc["chambers"][0] = "cyl_arith"
         with pytest.raises(IsoleafError):
             atlas_from_json_dict(doc)
+
+    @pytest.mark.parametrize("sigma", [2, 0, 1.5, -1.9, 1.0, True, "1", None, [1]])
+    def test_sigma_other_than_plus_or_minus_one_rejected(self, sigma):
+        doc = atlas_to_json_dict(build_arithmetic(2))
+        doc["gluings"][0]["sigma"] = sigma
+        with pytest.raises(IsoleafError) as exc:
+            atlas_from_json_dict(doc)
+        assert str(exc.value) == f"malformed atlas: a gluing's sigma is 1 or -1, got {sigma!r}"
+
+    def test_sigma_minus_one_accepted(self):
+        doc = atlas_to_json_dict(build_positive(1))
+        assert {g["sigma"] for g in doc["gluings"]} == {1, -1}
+        assert {g.sigma for g in atlas_from_json_dict(doc).gluings} == {1, -1}
 
     def test_chamber_of_another_kind_rejected(self):
         docs = [atlas_to_json_dict(atlas) for atlas in self.atlases()]

@@ -277,3 +277,98 @@ class TestViewportMap:
         px, py = scene._map((Fraction(-1, 10**7), Fraction(1, 10**7)))
         assert px < 0 and py < 0
         assert scene._fmt(px) == scene._fmt(py) == "0.0000"
+
+
+# ---------------------------------------------------------------------------
+# the SVG writer against ElementTree
+
+
+def et_emit(scene):
+    """The SVG text of ``scene`` as ElementTree writes it: the reference the
+    text writer of `Scene.emit` must match byte for byte."""
+    st_, fmt = scene.style, scene._fmt
+    width = fmt(float((scene.xmax - scene.xmin) * st_.scale))
+    height = fmt(float((scene.ymax - scene.ymin) * st_.scale))
+    root = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg", "version": "1.1",
+                              "width": width, "height": height,
+                              "viewBox": f"0 0 {width} {height}"})
+    ET.SubElement(root, "rect", {"class": "bg", "x": "0", "y": "0", "width": width,
+                                 "height": height, "fill": "#ffffff"})
+    for kind, geom, arg, extra, color in scene.layers:
+        if kind == "line":
+            (ax, ay), (bx, by) = map(scene._map, geom)
+            attrs = {"class": arg, "x1": fmt(ax), "y1": fmt(ay), "x2": fmt(bx), "y2": fmt(by),
+                     "stroke": color or st_.stroke, "stroke-width": "1.5"}
+            if extra:
+                attrs["stroke-dasharray"] = "5,4"
+            ET.SubElement(root, "line", attrs)
+        elif kind == "polygon":
+            pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in map(scene._map, geom))
+            ET.SubElement(root, "polygon", {"class": arg, "points": pts, "fill": extra or st_.fill,
+                                            "stroke": color or st_.stroke, "stroke-width": "1.2"})
+        elif kind == "marker":
+            x, y = scene._map(geom)
+            ET.SubElement(root, "circle", {
+                "class": f"marker-{arg}", "cx": fmt(x), "cy": fmt(y),
+                "r": fmt(st_.marker_radius), "fill": "#000000" if arg == "b" else "#ffffff",
+                "stroke": "#000000", "stroke-width": "1.2"})
+        elif kind == "text":
+            x, y = scene._map(geom)
+            el = ET.SubElement(root, "text", {
+                "class": extra, "x": fmt(x), "y": fmt(y), "fill": color or st_.label_color,
+                "font-family": "monospace", "font-size": str(st_.font_size)})
+            el.text = arg
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+
+
+# the characters ElementTree escapes, among others and non-ASCII ones
+_markup = st.text(
+    st.one_of(st.sampled_from('&<>"\r\n\t\'; #=/'), st.characters()), max_size=12
+)
+_styles = st.builds(
+    Style,
+    stroke=_markup,
+    slit_color=_markup,
+    fill=_markup,
+    label_color=_markup,
+    font_size=st.integers(1, 40),
+    marker_radius=st.floats(0, 20),
+)
+_points = st.tuples(st.fractions(-5, 5, max_denominator=50), st.fractions(-5, 5, max_denominator=50))
+_layers = st.lists(
+    st.one_of(
+        st.tuples(st.just("line"), st.tuples(_points, _points), _markup, st.booleans(),
+                  st.none() | _markup),
+        st.tuples(st.just("polygon"), st.lists(_points, min_size=1, max_size=4).map(tuple),
+                  _markup, st.none() | _markup, st.none() | _markup),
+        st.tuples(st.just("marker"), _points, st.sampled_from("bw") | _markup, st.none(),
+                  st.none()),
+        st.tuples(st.just("text"), _points, _markup, _markup, st.none() | _markup),
+    ),
+    max_size=8,
+)
+
+
+class TestTextWriter:
+    @given(style=_styles, layers=_layers)
+    @example(style=Style(), layers=[("text", (Fraction(0), Fraction(0)), "", "label", None)])
+    @example(style=Style(stroke='a&b<c>d"e\r\n\tfé☃'),
+             layers=[("line", ((0, 0), (1, 1)), "x&y", True, None),
+                     ("text", ((0, 0)), '<&>"\r\n\té', 'c"\t', "☃")])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_elementtree(self, style, layers):
+        scene = Scene(Fraction(-6), Fraction(-6), Fraction(6), Fraction(6), style=style,
+                      layers=list(layers))
+        assert scene.emit() == et_emit(scene)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_arithmetic(12), lambda: build_negative(4), lambda: build_positive(4),
+        lambda: build_nonarith(GroundField.quadratic(2).element(0, 1), 4),
+    ])
+    def test_atlas_figures_match_elementtree(self, build, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(Scene, "emit", lambda scene: emitted.append(scene) or "")
+        render_atlas(build())
+        (scene,) = emitted
+        monkeypatch.undo()
+        assert scene.emit() == et_emit(scene)

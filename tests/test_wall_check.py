@@ -239,6 +239,9 @@ class TestDerivedKeys:
         for sigma in (2, -3):
             stretched = dataclasses.replace(g, sigma=sigma, c=g.c + Fraction(1, 3))
             assert _reverse_key(stretched, stretched.key()) == stretched.reverse().key()
+            flipped = _iota_image(stretched)
+            assert leaf_atlas._orbit_key(stretched, stretched.key()) == min(
+                v.key() for v in (stretched, stretched.reverse(), flipped, flipped.reverse()))
 
     def test_negated_coordinate_keys(self):
         F = GroundField.quadratic(5)
