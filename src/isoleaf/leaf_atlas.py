@@ -284,22 +284,21 @@ def total_half_turns(sectors) -> int:
         else:
             ratios.append(s.ratio)
     if ratios:
+        # signs on the normal-form integers (p + q i)/d, d > 0, of Gaussian ratios
         F = ratios[0].field
         p = F.one()
         wraps = 0
         for r in ratios:
-            if r.imag_fraction() <= 0:
+            if r.q <= 0 or r.field.tag != "gaussian":
                 raise NonIntegralStar("sector ratios must have positive imaginary part")
             q = p * r
-            if p.imag_fraction() < 0 and (
-                q.imag_fraction() > 0 or (q.imag_fraction() == 0 and q.a > 0)
-            ):
+            if p.q < 0 and (q.q > 0 or (q.q == 0 and q.p > 0)):
                 wraps += 1
             p = q
-        if p.imag_fraction() != 0:
+        if p.q != 0:
             raise NonIntegralStar("sector ratios do not close up to a straight angle")
         total += 2 * wraps
-        if p.a < 0:
+        if p.p < 0:
             total += 1
     return total
 
@@ -417,6 +416,13 @@ def _with_reverses(records):
     return _dedupe_gluings(out)
 
 
+# each builder's least size, as the builders and the JSON loader reject it
+_TOO_SMALL = {"positive": "positive atlases need bound >= 1",
+              "negative": "negative atlases need bound >= 1",
+              "arith_real": "arithmetic atlases need kmax >= 1",
+              "nonarith_real": "non-arithmetic atlases need bound >= 1"}
+
+
 # ---------------------------------------------------------------------------
 # positive leaves
 
@@ -433,7 +439,7 @@ def build_positive(bound: int) -> Atlas:
     completion point where the slit vanishes.
     """
     if bound < 1:
-        raise WrongLeafKind("positive atlases need bound >= 1")
+        raise WrongLeafKind(_TOO_SMALL["positive"])
     chi = PeriodCharacter.gaussian((1, 0), (0, 1))
     Q = GroundField.rational()
     torus = TorusChamber()
@@ -507,7 +513,7 @@ def build_negative(bound: int) -> Atlas:
     ``(u, v_can + m u, -u - (v_can + m u))``, by ``t = m + s``.
     """
     if bound < 1:
-        raise WrongLeafKind("negative atlases need bound >= 1")
+        raise WrongLeafKind(_TOO_SMALL["negative"])
     chi = PeriodCharacter.gaussian((1, 0), (0, -1))
     Q = GroundField.rational()
     prims = primitive_elements(bound)
@@ -558,44 +564,37 @@ def _cyl_truncation_rays(records, Q):
     return rays
 
 
-def _deg_vertex_table(T: CharacteristicTriple):
-    """Corner data of the chart triangle {0, a1, -a2}.
+# the corners of the chart triangle {0, a1, -a2}: each one's label, its two
+# boundary germs (part, coordinate, direction), and the sides i < j it joins
+_TRIANGLE_CORNERS = (
+    ("v0", (("side", 1), 0, +1), (("side", 2), 1, -1), 0, 1),
+    ("v1", (("side", 1), 1, -1), (("side", 3), 0, +1), 0, 2),
+    ("v2", (("side", 2), 0, +1), (("side", 3), 1, -1), 1, 2),
+)
 
-    Each corner: (label, germs at it, the two outgoing edge directions).
-    Germ = (part, coordinate, direction); edge directions are lattice
-    elements whose period values bound the corner sector.
+
+def _triangle_corners(chi: PeriodCharacter, chamber: DegChamber) -> dict:
+    """Each boundary germ (part, coordinate, direction) at a corner of the
+    chamber's chart triangle, mapped to the corner's other germ and sector.
+
+    The edge periods at the corner of sides i < j are χ(a_i) and -χ(a_j),
+    so its Im-positive ratio is -χ(a_j)/χ(a_i) when det(a_i, a_j)·Vol < 0,
+    and -χ(a_i)/χ(a_j) when it is positive; both signs are read on integers.
     """
-    a1, a2, a3 = T.elements()
-    return {
-        "v0": ((("side", 1), 0, +1), (("side", 2), 1, -1), (a1, -a2)),
-        "v1": ((("side", 1), 1, -1), (("side", 3), 0, +1), (-a1, a3)),
-        "v2": ((("side", 2), 0, +1), (("side", 3), 1, -1), (a2, -a3)),
-    }
-
-
-_DEG_CORNER_AT = {(1, 0): "v0", (2, 1): "v0", (1, 1): "v1", (3, 0): "v1", (2, 0): "v2",
-                  (3, 1): "v2"}
-
-
-def _deg_vertex_of_germ(part, v: int):
-    """The corner at integer parameter ``v`` of a triangle side."""
-    i = part[1]
-    key = (i, v)
-    if key not in _DEG_CORNER_AT:
-        raise NotAVertex(f"side {i} has no corner at parameter {v}")
-    return _DEG_CORNER_AT[key]
-
-
-def _corner_ratio(chi: PeriodCharacter, d1: LatticeElement, d2: LatticeElement) -> FieldElement:
-    """Exact Im-positive ratio of the two corner directions."""
-    w1 = chi.lattice_value(d1)
-    w2 = chi.lattice_value(d2)
-    r = w2 / w1
-    if r.imag_fraction() < 0:
-        r = w1 / w2
-    if r.imag_fraction() == 0:
-        raise NonIntegralStar("degenerate corner: directions are collinear")
-    return r
+    a = chamber.triple.elements()
+    x = [chi.lattice_value(e) for e in a]
+    vol = (chi.g1.conjugate() * chi.g2).q  # Im over d > 0: triangles are on the Gaussian leaf
+    Q = GroundField.rational()
+    corners = {}
+    for label, h1, h2, i, j in _TRIANGLE_CORNERS:
+        turn = a[i].det(a[j]) * vol
+        if turn == 0:
+            raise NonIntegralStar("degenerate corner: directions are collinear")
+        ratio = -(x[j] / x[i]) if turn < 0 else -(x[i] / x[j])
+        sector = Sector(chamber, ("corner", label), ratio=ratio)
+        corners[h1] = (chamber, h2[0], Q.element(h2[1]), h2[2]), sector
+        corners[h2] = (chamber, h1[0], Q.element(h1[1]), h1[2]), sector
+    return corners
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +685,7 @@ def build_arithmetic(kmax: int) -> Atlas:
     (1,0) chambers join into the 2-pi center.
     """
     if kmax < 1:
-        raise WrongLeafKind("arithmetic atlases need kmax >= 1")
+        raise WrongLeafKind(_TOO_SMALL["arith_real"])
     chi = PeriodCharacter.rational(1, 0)
     Q = GroundField.rational()
     pairs = _admissible_pairs(kmax)
@@ -800,7 +799,7 @@ def build_nonarith(theta, bound: int) -> Atlas:
         If ``bound < 1``.
     """
     if bound < 1:
-        raise WrongLeafKind("non-arithmetic atlases need bound >= 1")
+        raise WrongLeafKind(_TOO_SMALL["nonarith_real"])
     if isinstance(theta, (int, Fraction)):
         raise RationalTheta(f"theta = {theta} is rational")
     if not isinstance(theta, FieldElement):
@@ -903,8 +902,8 @@ def _cross(atlas: Atlas, germ, key=None):
 def _other_germ(atlas: Atlas, germ, memo: dict):
     """The second boundary germ at this chamber corner, plus the sector.
 
-    ``memo`` keeps a walk's corner data: each triangle corner's sector and
-    germs by (chamber, corner), each cylinder vertex by its coordinate key.
+    ``memo`` keeps a walk's corner data: each triangle's corners by chamber
+    (`_triangle_corners`), each cylinder vertex by its coordinate key.
     """
     chamber, part, v, direction = germ
     if isinstance(chamber, TorusChamber):
@@ -922,21 +921,13 @@ def _other_germ(atlas: Atlas, germ, memo: dict):
     if isinstance(chamber, DegChamber):
         p, _, d = _fe_key(v)
         n = p // d if p >= 0 else -(-p // d)  # int(v.a), toward zero
-        label = _deg_vertex_of_germ(part, n)
-        corner = memo.get((chamber, label))
-        if corner is None:
-            g1, g2, (d1, d2) = _deg_vertex_table(chamber.triple)[label]
-            ratio = _corner_ratio(atlas.character, d1, d2)
-            sector = Sector(chamber, ("corner", label), ratio=ratio)
-            Q = GroundField.rational()
-            other = {g1: (chamber, g2[0], Q.element(g2[1]), g2[2]),
-                     g2: (chamber, g1[0], Q.element(g1[1]), g1[2])}
-            corner = memo[(chamber, label)] = (sector, other)
-        sector, other = corner
-        g_out = other.get((part, n, direction))
-        if g_out is None:
+        corners = memo.get(chamber)
+        if corners is None:
+            corners = memo[chamber] = _triangle_corners(atlas.character, chamber)
+        out = corners.get((part, n, direction))
+        if out is None:
             raise NotAVertex(f"{germ} is not a corner germ of {chamber}")
-        return g_out, sector
+        return out
     raise NotAVertex(f"unsupported chamber {chamber!r}")
 
 
@@ -1259,27 +1250,31 @@ class WallTree:
     quotient_edges: list
 
 
+_CENTER = -1  # the center's vertex in `wall_tree`'s tables; stars are their indices
+
+
 def _wall_end(star_at: dict, g: Gluing, v):
-    """``(ident, truncated)`` of the wall end at coordinate ``v`` of its source."""
+    """``(vertex, truncated)`` of the wall end at coordinate ``v`` of its source."""
     seg = g.seg_a
     if v is None:
         raise IsoleafError(
             f"the wall of {seg.chamber} on ({seg.lo}, {seg.hi}) has an infinite end"
         )
     if seg.chamber.k == 1 and v.is_zero():
-        return ("center",), False
+        return _CENTER, False
     # the corner's sector, by its chamber and exact coordinate; no star
     # means the walk around this corner runs into an unglued ray
-    ident = star_at.get((seg.chamber, *v.fraction_parts()))
-    return ident, ident is None
+    star = star_at.get((seg.chamber, *v.fraction_parts()))
+    return star, star is None
 
 
 def wall_tree(atlas: Atlas) -> WallTree:
     """Unfold the wall set of an arithmetic atlas into its rooted tree.
 
-    Wall endpoints are looked up in the stars the atlas already holds
-    (``atlas.singularities``).  Each wall is keyed once, and its orbit key
-    is derived from that key (:func:`_orbit_key`).  A marked wall with an
+    Wall endpoints are the stars the atlas already holds, keyed by their
+    index in ``atlas.singularities`` (or `_CENTER`); only ``far_vertex``
+    reads their idents.  Each wall is keyed once, and its orbit key is
+    derived from that key (:func:`_orbit_key`).  A marked wall with an
     infinite end raises `IsoleafError`.
     """
     if atlas.kind != "arith_real":
@@ -1287,56 +1282,61 @@ def wall_tree(atlas: Atlas) -> WallTree:
     # a sector's vertex is ``("t", (a, b))`` (see `_other_germ`); keyed here
     # by the integers of `FieldElement.fraction_parts`, hashed without Fractions
     star_at = {}
-    for star in atlas.singularities:
+    idents = {_CENTER: ("center",)}
+    for i, star in enumerate(atlas.singularities):
+        idents[i] = star.ident
         for sector in star.sectors:
             a, b = sector.vertex[1]
-            key = (sector.chamber, a.numerator, a.denominator, b.numerator, b.denominator)
-            star_at[key] = star.ident
+            star_at[(sector.chamber, a.numerator, a.denominator, b.numerator, b.denominator)] = i
     # one marked wall per record pair: keep source = plus chamber
     marked = {}
     for g in atlas.gluings:
         if g.seg_a.chamber.sign == +1:
             key = g.key()
             marked[key[0]] = g, key
-    # per wall, by id: endpoint (ident, truncated) pairs, orbit key, record key
+    # per wall, by id: endpoint (vertex, truncated) pairs, orbit key, record key
     ends, orbit, order = {}, {}, {}
     by_vertex = {}
+    roots = []
     for g, key in marked.values():
         pair = (_wall_end(star_at, g, g.seg_a.lo), _wall_end(star_at, g, g.seg_a.hi))
-        for ident, _ in pair:
-            if ident is not None:
-                by_vertex.setdefault(ident, []).append(g)
+        for vertex, _ in pair:
+            if vertex is not None:
+                by_vertex.setdefault(vertex, []).append(g)
+        if _CENTER in (pair[0][0], pair[1][0]):
+            roots.append(g)
         ends[id(g)] = pair
         orbit[id(g)] = _orbit_key(g, key)
         order[id(g)] = key
     # per vertex: the least wall of each incident orbit, in orbit-key order
     branches_at = {}
-    for ident, incident in by_vertex.items():
+    for vertex, incident in by_vertex.items():
         reps = {}
         for h in incident:
             key = orbit[id(h)]
             if key not in reps or order[id(h)] < order[id(reps[key])]:
                 reps[key] = h
-        branches_at[ident] = sorted(reps.items())
-    roots = [g for g, _ in marked.values() if ("center",) in [e[0] for e in ends[id(g)]]]
+        branches_at[vertex] = sorted(reps.items())
     roots.sort(key=lambda g: order[id(g)])
-    tables = (ends, orbit, branches_at)
-    branches = [_grow(tables, g, ("center",), 4 * atlas.bound + 8) for g in roots]
+    tables = (ends, orbit, branches_at, idents)
+    branches = [_grow(tables, g, _CENTER, 4 * atlas.bound + 8) for g in roots]
     quotient = sorted(set(orbit.values()))
     return WallTree(root=("center",), branches=branches, quotient_edges=quotient)
 
 
-def _grow(tables, g: Gluing, came_from: tuple, depth: int) -> WallTreeNode:
-    """The subtree of `wall_tree` below wall ``g``, entered from ``came_from``."""
-    ends, orbit, branches_at = tables
-    (id_lo, tr_lo), (id_hi, tr_hi) = ends[id(g)]
-    if id_lo == came_from and id_hi != came_from:
-        far, trunc = id_hi, tr_hi
+def _grow(tables, g: Gluing, came_from: int, depth: int) -> WallTreeNode:
+    """The subtree of `wall_tree` below wall ``g``, entered from vertex ``came_from``."""
+    ends, orbit, branches_at, idents = tables
+    (v_lo, tr_lo), (v_hi, tr_hi) = ends[id(g)]
+    if v_lo == came_from and v_hi != came_from:
+        far, trunc = v_hi, tr_hi
     else:
-        far, trunc = id_lo, tr_lo
-    length = g.seg_a.hi.a - g.seg_a.lo.a
-    node = WallTreeNode(record=g, length=length, far_vertex=far, truncated=trunc, children=[])
-    if trunc or far is None or far == ("center",) or depth <= 0:
+        far, trunc = v_lo, tr_lo
+    lo, hi = g.seg_a.lo, g.seg_a.hi
+    length = Fraction(hi.p - lo.p) if lo.d == hi.d == 1 else hi.a - lo.a
+    node = WallTreeNode(record=g, length=length, far_vertex=idents.get(far),
+                        truncated=trunc, children=[])
+    if trunc or far is None or far == _CENTER or depth <= 0:
         return node
     for key, rep in branches_at.get(far, ()):
         if key != orbit[id(g)]:
@@ -1772,6 +1772,8 @@ def atlas_from_json_dict(data: dict) -> Atlas:
         raise IsoleafError(f"malformed atlas: missing key {exc}") from None
     except (IndexError, TypeError, ValueError) as exc:
         raise IsoleafError(f"malformed atlas: {exc}") from None
+    if bound < 1:
+        raise WrongLeafKind(_TOO_SMALL[kind])
     atlas = Atlas(
         kind=kind,
         character=chi,

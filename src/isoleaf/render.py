@@ -1,11 +1,12 @@
 """Deterministic SVG figures of leaf atlases and member surfaces.
 
 Every picture is produced by the same small pipeline: exact world
-coordinates (fractions, or quadratic field elements evaluated once at
-emission) pass through a single affine viewport map and are quantized to
-four decimals only when written.  Equal inputs therefore give
-byte-identical SVG text, and ratios of drawn lengths reproduce the exact
-coordinate ratios up to that final quantization.
+coordinates (fractions, quadratic field elements evaluated once at
+emission, or the wall tree's integers, which count 1/40 world units) pass
+through a single affine viewport map and are quantized to four decimals
+only when written.  Equal inputs therefore give byte-identical SVG text,
+and ratios of drawn lengths reproduce the exact coordinate ratios up to
+that final quantization.
 
 Pictures:
 
@@ -67,7 +68,8 @@ class Scene:
 
     Layers hold primitives in world coordinates; ``emit`` applies the one
     affine viewport map and quantizes to four decimals.  The viewport
-    bounds are rationals (``Fraction`` or ``int``).
+    bounds are rationals (``Fraction`` or ``int``).  With ``unit`` above 1,
+    every coordinate and bound is an exact count of 1/``unit`` world units.
     """
 
     xmin: Fraction
@@ -76,6 +78,7 @@ class Scene:
     ymax: Fraction
     style: Style = field(default_factory=Style)
     layers: list = field(default_factory=list)
+    unit: int = 1
 
     # -- primitives (world coordinates, exact where possible) --------------
 
@@ -94,21 +97,22 @@ class Scene:
     # -- emission -----------------------------------------------------------
 
     def _map(self, p) -> tuple[float, float]:
-        # a rational coordinate is one exact quotient of integers, rounded
-        # once by true division (as float(Fraction) rounds it); other
-        # coordinates are mapped in floats
+        # an exact coordinate (a Fraction, or any coordinate of a scene with
+        # a finer unit) is one exact quotient of integers, rounded once by
+        # true division (as float(Fraction) rounds it); other coordinates
+        # are mapped in floats
         x, y = p
-        s = self.style.scale
+        s, u = self.style.scale, self.unit
         x0, y1 = self.xmin, self.ymax
-        if isinstance(x, Fraction):
+        if u != 1 or isinstance(x, Fraction):
             px = (x.numerator * x0.denominator - x0.numerator * x.denominator) * s / (
-                x.denominator * x0.denominator
+                x.denominator * x0.denominator * u
             )
         else:
             px = (float(x) - float(x0)) * s
-        if isinstance(y, Fraction):
+        if u != 1 or isinstance(y, Fraction):
             py = (y1.numerator * y.denominator - y.numerator * y1.denominator) * s / (
-                y.denominator * y1.denominator
+                y.denominator * y1.denominator * u
             )
         else:
             py = (float(y1) - float(y)) * s
@@ -123,8 +127,8 @@ class Scene:
         insertion order, ``" />"`` closing empty elements, its escaping."""
         st, fmt, pos = self.style, self._fmt, self._map
         attr = _Attrs()
-        width = fmt(float((self.xmax - self.xmin) * st.scale))
-        height = fmt(float((self.ymax - self.ymin) * st.scale))
+        width = fmt(float((self.xmax - self.xmin) * st.scale / self.unit))
+        height = fmt(float((self.ymax - self.ymin) * st.scale / self.unit))
         radius = fmt(st.marker_radius)
         font_size = attr(str(st.font_size))
         out = [
@@ -327,14 +331,9 @@ def _tree_widths(node, out: dict) -> int:
     return w
 
 
-def _length_text(length) -> str:
-    frac = Fraction(length)
-    return str(frac.numerator) if frac.denominator == 1 else str(frac)
-
-
 def _place(node, x0: int, depth: int, parent, width: dict, positions: list, edges: list):
-    """Lay out the subtree of ``node`` from column ``x0`` at row ``depth``."""
-    here = (x0 + Fraction(width[id(node)], 2), Fraction(-depth))
+    """Lay out the subtree of ``node`` from column ``x0`` at row ``depth``, in 1/40 units."""
+    here = (40 * x0 + 20 * width[id(node)], -40 * depth)
     positions.append((here, node.truncated))
     edges.append((parent, here, node.length, node.truncated))
     cx = x0
@@ -350,25 +349,22 @@ def _render_wall_tree(atlas: Atlas, style: Style) -> str:
     edges: list[tuple] = []
     width: dict = {}
     total = sum(_tree_widths(b, width) for b in tree.branches) or 1
-    rootp = (Fraction(total, 2), Fraction(0))
+    rootp = (20 * total, 0)
     cx = 0
     for b in tree.branches:
         _place(b, cx, 1, rootp, width, positions, edges)
         cx += width[id(b)]
 
-    pts = [rootp] + [p for p, _ in positions]
-    scene = _scene(pts, style)
+    xs, ys = zip(rootp, *(p for p, _ in positions))
+    m = style.margin * 40  # an int unless the margin is finer than 1/40
+    m = m.numerator if m.denominator == 1 else m
+    scene = Scene(min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m, style=style, unit=40)
     for parent, here, length, truncated in edges:
         scene.add_line(parent, here, "wall", dashed=truncated)
-        mid = ((parent[0] + here[0]) / 2 + Fraction(1, 10),
-               (parent[1] + here[1]) / 2)
-        scene.add_text(mid, _length_text(length), "length")
+        mid = ((parent[0] + here[0]) // 2 + 4, (parent[1] + here[1]) // 2)
+        scene.add_text(mid, str(length), "length")
     scene.add_marker(rootp, "w")
-    scene.add_text(
-        (rootp[0] + Fraction(1, 8), rootp[1] + Fraction(1, 4)),
-        "center",
-        "label",
-    )
+    scene.add_text((rootp[0] + 5, rootp[1] + 10), "center", "label")
     for p, truncated in positions:
         scene.add_marker(p, "w" if truncated else "b")
     return scene.emit()

@@ -504,6 +504,33 @@ class TestAtlasCommands:
         report = json.loads(out.splitlines()[-1])
         assert {(c["k"], c["sign"]) for c in report["counterexamples"]} == {(3, 1), (3, -1)}
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "kind,argv,message",
+        [
+            ("positive", ["--bound", "1"], "positive atlases need bound >= 1"),
+            ("negative", ["--bound", "1"], "negative atlases need bound >= 1"),
+            ("arithmetic", ["--kmax", "2"], "arithmetic atlases need kmax >= 1"),
+            ("nonarith", ["--D", "2", "--theta", "0/1,1/1", "--bound", "1"],
+             "non-arithmetic atlases need bound >= 1"),
+        ],
+        ids=["positive", "negative", "arithmetic", "nonarith"],
+    )
+    def test_stored_bound_below_one_exits_1_in_one_line(self, capsys, tmp_path, kind, argv,
+                                                        message, bound):
+        # the loader rejects what the builders reject: a stored bound of 0 or
+        # less would pass `atlas check` (no k in 1..bound) and cut the wall tree
+        path = tmp_path / "atlas.json"
+        code, _, _ = invoke(capsys, ["atlas", "build", "--kind", kind, *argv, "--out", str(path)])
+        assert code == 0
+        doc = json.loads(path.read_text())
+        doc["bound"] = bound
+        path.write_text(json.dumps(doc))
+        for command in (["atlas", "check"], ["render", "--atlas"], ["atlas", "stats"]):
+            code, out, err = invoke(capsys, [*command, str(path)])
+            assert (code, out) == (1, ""), command
+            assert err.splitlines() == [f"error: {message}"], command
+
     @pytest.mark.parametrize(
         "argv",
         [

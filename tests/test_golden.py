@@ -7,7 +7,11 @@ those of ``negative-12`` and ``nonarith-sqrt2-8`` (the sizes the benchmark
 builds) before triples were enumerated by partner and each star germ was
 walked once; those of ``arithmetic-40`` and ``positive-12`` (the other
 benchmark sizes) before each wall was keyed once and the SVG was written
-as text instead of through ElementTree.  A change to the kernel, the atlas builders or the renderer that
+as text instead of through ElementTree; those of ``arithmetic-1`` and
+``arithmetic-2`` (the smallest trees, whose leaves sit at half-integer
+columns) before the wall tree was laid out in integer 1/40 units and keyed
+its vertices by star index, and triangle corners were computed once per
+triangle.  A change to the kernel, the atlas builders or the renderer that
 alters a single byte of the canonical JSON (chamber order, gluing order,
 coordinate text, singularity ids) or of the SVG fails here, even when the
 atlas still round-trips and passes `check_atlas`.
@@ -31,6 +35,16 @@ from isoleaf.period_algebra import GroundField
 from isoleaf.render import render_atlas
 
 GOLDEN = {
+    "arithmetic-1": (
+        lambda: build_arithmetic(1),
+        "a3b3c95d9ef0c52cca415941856304b4b51f83d04c3d7d5bb49c8b7e958a0efc",
+        "2f67325e7b027b85785be9b04fe396e9e9202b18b8bd87027c5f6546a74ff7f9",
+    ),
+    "arithmetic-2": (
+        lambda: build_arithmetic(2),
+        "8cdb6388e92163cd11d38026c5b1827e6e5a0674cfb991f9c27231bec49bb6ca",
+        "4b608b6a936ea8edd888ae76371d0fb1177439b7bb08fb5dbb09b12668b96bf9",
+    ),
     "arithmetic-12": (
         lambda: build_arithmetic(12),
         "a4256833ae08d133e28a3459205c98c5e6c96f51f306386900346ab1c52a226f",

@@ -720,11 +720,11 @@ class TestNegativeAtlas:
 
 
 class TestStarWalkCost:
-    """Each germ starts at most one `_other_germ` step; each corner ratio is computed once."""
+    """Each germ starts at most one `_other_germ` step; each triangle's corners are computed once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_other_germ": 0, "_corner_ratio": 0}
+        calls = {"_other_germ": 0, "_triangle_corners": 0}
         for name in calls:
 
             def counted(*args, _fn=getattr(leaf_atlas, name), _name=name, **kw):
@@ -746,7 +746,7 @@ class TestStarWalkCost:
         def assert_within(atlas):
             germs = len(atlas._germ_index)
             assert calls["_other_germ"] <= germs
-            assert calls["_corner_ratio"] <= 3 * triples
+            assert calls["_triangle_corners"] <= triples
 
         assert_within(atlas)
         text = json.dumps(atlas_to_json_dict(atlas))

@@ -1,5 +1,6 @@
 """SVG figures: determinism, exact counts, affine-ratio fidelity."""
 
+import json
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 from isoleaf.leaf_atlas import (
     Atlas,
     DegChamber,
+    atlas_from_json_dict,
+    atlas_to_json_dict,
     build_arithmetic,
     build_negative,
     build_nonarith,
     build_positive,
+    wall_tree,
 )
 from isoleaf.period_algebra import (
     GroundField,
@@ -287,8 +291,8 @@ def et_emit(scene):
     """The SVG text of ``scene`` as ElementTree writes it: the reference the
     text writer of `Scene.emit` must match byte for byte."""
     st_, fmt = scene.style, scene._fmt
-    width = fmt(float((scene.xmax - scene.xmin) * st_.scale))
-    height = fmt(float((scene.ymax - scene.ymin) * st_.scale))
+    width = fmt(float((scene.xmax - scene.xmin) * st_.scale / scene.unit))
+    height = fmt(float((scene.ymax - scene.ymin) * st_.scale / scene.unit))
     root = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg", "version": "1.1",
                               "width": width, "height": height,
                               "viewBox": f"0 0 {width} {height}"})
@@ -372,3 +376,120 @@ class TestTextWriter:
         (scene,) = emitted
         monkeypatch.undo()
         assert scene.emit() == et_emit(scene)
+
+
+# ---------------------------------------------------------------------------
+# the integer wall-tree layout against the Fraction layout
+
+
+def fraction_wall_tree(atlas, style):
+    """The wall-tree SVG laid out in world-unit Fractions, as first written:
+    the reference the 1/40 integer layout of `render_atlas` must match byte
+    for byte."""
+    tree = wall_tree(atlas)
+    positions, edges, width = [], [], {}
+
+    def widths(node):
+        width[id(node)] = sum(map(widths, node.children)) if node.children else 1
+        return width[id(node)]
+
+    def place(node, x0, depth, parent):
+        here = (x0 + Fraction(width[id(node)], 2), Fraction(-depth))
+        positions.append((here, node.truncated))
+        edges.append((parent, here, node.length, node.truncated))
+        for child in node.children:
+            place(child, x0, depth + 1, here)
+            x0 += width[id(child)]
+
+    total = sum(map(widths, tree.branches)) or 1
+    rootp = (Fraction(total, 2), Fraction(0))
+    x0 = 0
+    for b in tree.branches:
+        place(b, x0, 1, rootp)
+        x0 += width[id(b)]
+    pts = [rootp] + [p for p, _ in positions]
+    xs, ys = [Fraction(p[0]) for p in pts], [Fraction(p[1]) for p in pts]
+    m = style.margin
+    scene = Scene(min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m, style=style)
+    for parent, here, length, truncated in edges:
+        scene.add_line(parent, here, "wall", dashed=truncated)
+        mid = ((parent[0] + here[0]) / 2 + Fraction(1, 10), (parent[1] + here[1]) / 2)
+        frac = Fraction(length)
+        scene.add_text(mid, str(frac.numerator) if frac.denominator == 1 else str(frac), "length")
+    scene.add_marker(rootp, "w")
+    scene.add_text((rootp[0] + Fraction(1, 8), rootp[1] + Fraction(1, 4)), "center", "label")
+    for p, truncated in positions:
+        scene.add_marker(p, "w" if truncated else "b")
+    return scene.emit()
+
+
+def _loaded(doc):
+    return atlas_from_json_dict(json.loads(json.dumps(doc)))
+
+
+def _unshared_doc(atlas):
+    # one call's JSON shares equal leaves, and copy.deepcopy keeps that
+    # sharing; a text round trip gives each record its own dicts
+    return json.loads(json.dumps(atlas_to_json_dict(atlas)))
+
+
+def _plus_walls(doc):
+    return [g["a"] for g in doc["gluings"] if g["a"]["chamber"]["sign"] == 1]
+
+
+def _root_wall(doc):
+    # the plus-side wall of CC^+_{1,0} on (0, 1), which ends at the center
+    return next(a for a in _plus_walls(doc)
+                if a["chamber"]["k"] == "1" and a["lo"] == [["0", "1"]])
+
+
+def _half_ends(doc):
+    _root_wall(doc).update(lo=[["1", "2"]], hi=[["3", "2"]])
+
+
+def _half_root(doc):
+    _root_wall(doc)["hi"] = [["1", "2"]]
+
+
+def _three_gluings(doc):
+    doc["gluings"] = doc["gluings"][:3]
+
+
+def _swapped_root(doc):
+    a = _root_wall(doc)
+    a["lo"], a["hi"] = a["hi"], a["lo"]
+
+
+def _all_swapped(doc):
+    for a in _plus_walls(doc):
+        a["lo"], a["hi"] = a["hi"], a["lo"]
+
+
+class TestWallTreeLayout:
+    @pytest.mark.parametrize("kmax", range(1, 17))
+    def test_matches_fraction_layout(self, kmax):
+        atlas = build_arithmetic(kmax)
+        for a in (atlas, _loaded(atlas_to_json_dict(atlas))):
+            assert render_atlas(a) == fraction_wall_tree(a, Style())
+
+    @pytest.mark.parametrize("kmax", [2, 5, 8])
+    @pytest.mark.parametrize(
+        "damage", [_half_ends, _half_root, _three_gluings, _swapped_root, _all_swapped]
+    )
+    def test_malformed_atlas_matches_fraction_layout(self, kmax, damage):
+        # loadable atlases whose walls end off the stars, whose tree is cut,
+        # or whose lengths are negative or half-integers
+        doc = _unshared_doc(build_arithmetic(kmax))
+        damage(doc)
+        atlas = _loaded(doc)
+        assert render_atlas(atlas) == fraction_wall_tree(atlas, Style())
+
+    @pytest.mark.parametrize(
+        "style",
+        [Style(scale=7), Style(margin=Fraction(1, 3)), Style(margin=2, scale=1)],
+        ids=["scale-7", "margin-1/3", "margin-2"],
+    )
+    def test_custom_style_matches_fraction_layout(self, style):
+        # a margin finer than 1/40 leaves the viewport a Fraction of 1/40 units
+        atlas = build_arithmetic(6)
+        assert render_atlas(atlas, style) == fraction_wall_tree(atlas, style)
