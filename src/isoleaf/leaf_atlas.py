@@ -1684,8 +1684,8 @@ def atlas_to_json_dict(atlas: Atlas) -> dict:
     One call computes the JSON of each distinct chamber, boundary part,
     coordinate and segment once and puts that one object wherever it
     occurs, so the output shares equal leaves (chamber dicts, part lists,
-    coordinate lists, segment dicts).  Deep-copy it before editing those in
-    place.  Separate calls share no object.
+    coordinate lists, segment dicts), and ``copy.deepcopy`` keeps that: edit
+    ``json.loads(json.dumps(d))`` in place instead.  Separate calls share no object.
     """
     chamber_json, part_json = _kept(_chamber_json), _kept(_part_json)
     fe_json = _kept(FieldElement.to_json)

@@ -2,8 +2,9 @@
 
 Every picture is produced by the same small pipeline: exact world
 coordinates (fractions, quadratic field elements evaluated once at
-emission, or the wall tree's integers, which count 1/40 world units) pass
-through a single affine viewport map and are quantized to four decimals
+emission, or integers that count 1/40 world units in the wall tree and
+quarter units in the negative panels) pass through a single affine
+viewport map, set up once per scene, and are quantized to four decimals
 only when written.  Equal inputs therefore give byte-identical SVG text,
 and ratios of drawn lengths reproduce the exact coordinate ratios up to
 that final quantization.
@@ -96,27 +97,30 @@ class Scene:
 
     # -- emission -----------------------------------------------------------
 
-    def _map(self, p) -> tuple[float, float]:
-        # an exact coordinate (a Fraction, or any coordinate of a scene with
-        # a finer unit) is one exact quotient of integers, rounded once by
-        # true division (as float(Fraction) rounds it); other coordinates
-        # are mapped in floats
-        x, y = p
+    def _map(self):
+        """The viewport map, world point to pixel floats, its per-scene
+        constants read once.  An exact coordinate (a Fraction, or any one of a
+        scene with a finer unit) is one exact quotient of integers, rounded
+        once by true division (as float(Fraction) rounds it); other
+        coordinates are mapped in floats."""
         s, u = self.style.scale, self.unit
         x0, y1 = self.xmin, self.ymax
-        if u != 1 or isinstance(x, Fraction):
-            px = (x.numerator * x0.denominator - x0.numerator * x.denominator) * s / (
-                x.denominator * x0.denominator * u
-            )
-        else:
-            px = (float(x) - float(x0)) * s
-        if u != 1 or isinstance(y, Fraction):
-            py = (y1.numerator * y.denominator - y.numerator * y1.denominator) * s / (
-                y.denominator * y1.denominator * u
-            )
-        else:
-            py = (float(y1) - float(y)) * s
-        return px, py
+        xn, xd, yn, yd = x0.numerator, x0.denominator, y1.numerator, y1.denominator
+        fx0, fy1, exact = float(x0), float(y1), u != 1
+
+        def pos(p):
+            x, y = p
+            if exact or isinstance(x, Fraction):
+                px = (x.numerator * xd - xn * x.denominator) * s / (x.denominator * xd * u)
+            else:
+                px = (float(x) - fx0) * s
+            if exact or isinstance(y, Fraction):
+                py = (yn * y.denominator - y.numerator * yd) * s / (y.denominator * yd * u)
+            else:
+                py = (fy1 - float(y)) * s
+            return px, py
+
+        return pos
 
     def _fmt(self, v: float) -> str:
         out = f"{v:.4f}"
@@ -125,7 +129,7 @@ class Scene:
     def emit(self) -> str:
         """The SVG text, as ElementTree would serialize it: attributes in
         insertion order, ``" />"`` closing empty elements, its escaping."""
-        st, fmt, pos = self.style, self._fmt, self._map
+        st, fmt, pos = self.style, self._fmt, self._map()
         attr = _Attrs()
         width = fmt(float((self.xmax - self.xmin) * st.scale / self.unit))
         height = fmt(float((self.ymax - self.ymin) * st.scale / self.unit))
@@ -219,6 +223,12 @@ def _bounds(points):
     return min(xs), min(ys), max(xs), max(ys)
 
 
+def _in_units(value, unit: int):
+    """``value`` as a count of 1/``unit`` world units: an int unless it is finer."""
+    v = value * unit
+    return v.numerator if v.denominator == 1 else v
+
+
 def _scene(points, style: Style) -> Scene:
     xmin, ymin, xmax, ymax = _bounds(points)
     m = style.margin
@@ -279,7 +289,8 @@ def _triangle_of(triple):
 
 
 def _render_negative(atlas: Atlas, style: Style) -> str:
-    """A panel grid: the exact chart triangle of each degenerate chamber."""
+    """A panel grid: the exact chart triangle of each degenerate chamber, laid
+    out in integer quarter world units."""
     degs = sorted(
         (c for c in atlas.chambers if isinstance(c, DegChamber)),
         key=lambda c: c.sort_key(),
@@ -287,40 +298,28 @@ def _render_negative(atlas: Atlas, style: Style) -> str:
     if not degs:
         raise EmptyAtlas("negative atlas has no degenerate chambers")
     tris = [_triangle_of(c.triple) for c in degs]
-    span = max(
-        max(abs(Fraction(x)) for p in t for x in p) for t in tris
-    ) + Fraction(1)
-    ncols = max(1, int(len(degs) ** 0.5 + Fraction(1, 2)))
+    span = max(abs(x) for t in tris for p in t for x in p) + 1
+    ncols = max(1, int(len(degs) ** 0.5 + 0.5))
+    nrows = -(-len(degs) // ncols)
     pitch = 2 * span + 1
-    panels = []
-    for idx in range(len(degs)):
+    m = _in_units(style.margin, 4)
+    scene = Scene(
+        -4 * span - m, -4 * ((nrows - 1) * pitch + span) - m,
+        4 * ((ncols - 1) * pitch + span) + m, 4 * span + m, style=style, unit=4,
+    )
+    for idx, (c, tri) in enumerate(zip(degs, tris)):
         row, col = divmod(idx, ncols)
-        panels.append((Fraction(col * pitch), Fraction(-row * pitch)))
-    corners = [
-        (ox + dx, oy + dy)
-        for (ox, oy) in panels
-        for (dx, dy) in ((-span, -span), (span, span))
-    ]
-    scene = _scene(corners, style)
-    for c, tri, (ox, oy) in zip(degs, tris, panels):
-        pts = [(ox + Fraction(x), oy + Fraction(y)) for x, y in tri]
+        ox, oy = 4 * col * pitch, -4 * row * pitch
+        pts = [(ox + 4 * x, oy + 4 * y) for x, y in tri]
         scene.add_polygon(pts, "chamber")
-        # half-plane band along the wall side (the side from 0 to u1)
+        # half-plane band along the wall side (the side from 0 to u1); both
+        # ends are multiples of 4, so the quarter offset is exact
         a, b = pts[0], pts[1]
-        nx, ny = (
-            Fraction(b[1] - a[1]) / 4,
-            Fraction(a[0] - b[0]) / 4,
-        )
+        nx, ny = (b[1] - a[1]) // 4, (a[0] - b[0]) // 4
         band = [a, b, (b[0] + nx, b[1] + ny), (a[0] + nx, a[1] + ny)]
         scene.add_polygon(band, "halfplane", fill="#e0e8f0")
-        (m1, n1), (m2, n2), (m3, n3) = (
-            (e.m, e.n) for e in c.triple.elements()
-        )
-        scene.add_text(
-            (ox - span + Fraction(1, 4), oy + span - Fraction(1, 4)),
-            f"({m1},{n1})({m2},{n2})({m3},{n3})",
-            "label",
-        )
+        label = "".join(f"({e.m},{e.n})" for e in c.triple.elements())
+        scene.add_text((ox - 4 * span + 1, oy + 4 * span - 1), label, "label")
     return scene.emit()
 
 
@@ -356,8 +355,7 @@ def _render_wall_tree(atlas: Atlas, style: Style) -> str:
         cx += width[id(b)]
 
     xs, ys = zip(rootp, *(p for p, _ in positions))
-    m = style.margin * 40  # an int unless the margin is finer than 1/40
-    m = m.numerator if m.denominator == 1 else m
+    m = _in_units(style.margin, 40)
     scene = Scene(min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m, style=style, unit=40)
     for parent, here, length, truncated in edges:
         scene.add_line(parent, here, "wall", dashed=truncated)

@@ -11,10 +11,13 @@ as text instead of through ElementTree; those of ``arithmetic-1`` and
 ``arithmetic-2`` (the smallest trees, whose leaves sit at half-integer
 columns) before the wall tree was laid out in integer 1/40 units and keyed
 its vertices by star index, and triangle corners were computed once per
-triangle.  A change to the kernel, the atlas builders or the renderer that
-alters a single byte of the canonical JSON (chamber order, gluing order,
-coordinate text, singularity ids) or of the SVG fails here, even when the
-atlas still round-trips and passes `check_atlas`.
+triangle; those of ``negative-1`` (a full 2 x 2 panel grid) and
+``negative-3`` (a partial last row) before the negative panels were laid
+out in integer quarter units and the viewport map set up once per scene.
+A change to the kernel, the atlas builders or the renderer that alters a
+single byte of the canonical JSON (chamber order, gluing order, coordinate
+text, singularity ids) or of the SVG fails here, even when the atlas still
+round-trips and passes `check_atlas`.
 """
 
 import hashlib
@@ -59,6 +62,16 @@ GOLDEN = {
         lambda: build_arithmetic(40),
         "eafa9b2c8b7a4e34ea39d52cddf12d9f429ef2413614cbb0099f573c86d8a7a4",
         "cbd02649390c9e7d6b62af96977a6862a3ec48feb8f694dd17b69d640f43b065",
+    ),
+    "negative-1": (
+        lambda: build_negative(1),
+        "c309d0450db5a56ef55b286e23c053de0a259018134ed8731c8266a9c3659c4a",
+        "d021630d9c5274ec3ed35693c8a4ef699e5094ec3924ca02d34f40a3fe4cefec",
+    ),
+    "negative-3": (
+        lambda: build_negative(3),
+        "d1396996044cd87c804a3ceab9347fe898e809fbb71a583909bc7e02771bd0df",
+        "af96628a5da405ca069cbde8005d9314a3b396f9901315cf5d1e0f94d59647e1",
     ),
     "negative-6": (
         lambda: build_negative(6),

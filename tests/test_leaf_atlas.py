@@ -1,5 +1,6 @@
 """Tests for the leaf atlas builders, gluing rules, stars and wall tree."""
 
+import copy
 import json
 from fractions import Fraction
 from math import gcd
@@ -1085,6 +1086,15 @@ class TestAtlasJson:
         glued["lo"][0][0] = "99"
         glued["part"].append("edited")
         assert atlas_to_json_dict(atlas) == second
+
+    def test_text_round_trip_unshares_what_deepcopy_keeps(self):
+        # a gluing's side and its reverse record are one segment dict; a deep
+        # copy keeps that, so one edit moves both, a text round trip only one
+        doc = atlas_to_json_dict(build_negative(1))
+        for copied, moved in ((copy.deepcopy(doc), 2), (json.loads(json.dumps(doc)), 1)):
+            copied["gluings"][0]["a"]["lo"] = [["7", "1"]]
+            sides = [g[s] for g in copied["gluings"] for s in "ab"]
+            assert sum(side["lo"] == [["7", "1"]] for side in sides) == moved
 
     @pytest.mark.parametrize("value", [[], {}, ["1"], [["1", "0"]], {"x": 1}, {1}, object()])
     def test_unhashable_or_foreign_chamber_fields_rejected(self, value):

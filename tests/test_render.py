@@ -271,14 +271,14 @@ class TestViewportMap:
     @settings(max_examples=400, deadline=None)
     def test_bit_identical_to_fraction_model(self, x, y, xmin, ymax, scale):
         scene = Scene(xmin, xmin - 1, ymax + 1, ymax, style=Style(scale=scale))
-        got = scene._map((x, y))
+        got = scene._map()((x, y))
         want = model_map(scene, (x, y))
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert [scene._fmt(v) for v in got] == [scene._fmt(v) for v in want]
 
     def test_negative_zero_is_written_as_zero(self):
         scene = Scene(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
-        px, py = scene._map((Fraction(-1, 10**7), Fraction(1, 10**7)))
+        px, py = scene._map()((Fraction(-1, 10**7), Fraction(1, 10**7)))
         assert px < 0 and py < 0
         assert scene._fmt(px) == scene._fmt(py) == "0.0000"
 
@@ -290,7 +290,7 @@ class TestViewportMap:
 def et_emit(scene):
     """The SVG text of ``scene`` as ElementTree writes it: the reference the
     text writer of `Scene.emit` must match byte for byte."""
-    st_, fmt = scene.style, scene._fmt
+    st_, fmt, pos = scene.style, scene._fmt, scene._map()
     width = fmt(float((scene.xmax - scene.xmin) * st_.scale / scene.unit))
     height = fmt(float((scene.ymax - scene.ymin) * st_.scale / scene.unit))
     root = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg", "version": "1.1",
@@ -300,24 +300,24 @@ def et_emit(scene):
                                  "height": height, "fill": "#ffffff"})
     for kind, geom, arg, extra, color in scene.layers:
         if kind == "line":
-            (ax, ay), (bx, by) = map(scene._map, geom)
+            (ax, ay), (bx, by) = map(pos, geom)
             attrs = {"class": arg, "x1": fmt(ax), "y1": fmt(ay), "x2": fmt(bx), "y2": fmt(by),
                      "stroke": color or st_.stroke, "stroke-width": "1.5"}
             if extra:
                 attrs["stroke-dasharray"] = "5,4"
             ET.SubElement(root, "line", attrs)
         elif kind == "polygon":
-            pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in map(scene._map, geom))
+            pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in map(pos, geom))
             ET.SubElement(root, "polygon", {"class": arg, "points": pts, "fill": extra or st_.fill,
                                             "stroke": color or st_.stroke, "stroke-width": "1.2"})
         elif kind == "marker":
-            x, y = scene._map(geom)
+            x, y = pos(geom)
             ET.SubElement(root, "circle", {
                 "class": f"marker-{arg}", "cx": fmt(x), "cy": fmt(y),
                 "r": fmt(st_.marker_radius), "fill": "#000000" if arg == "b" else "#ffffff",
                 "stroke": "#000000", "stroke-width": "1.2"})
         elif kind == "text":
-            x, y = scene._map(geom)
+            x, y = pos(geom)
             el = ET.SubElement(root, "text", {
                 "class": extra, "x": fmt(x), "y": fmt(y), "fill": color or st_.label_color,
                 "font-family": "monospace", "font-size": str(st_.font_size)})
@@ -493,3 +493,60 @@ class TestWallTreeLayout:
         # a margin finer than 1/40 leaves the viewport a Fraction of 1/40 units
         atlas = build_arithmetic(6)
         assert render_atlas(atlas, style) == fraction_wall_tree(atlas, style)
+
+
+# ---------------------------------------------------------------------------
+# the integer negative-panel layout against the Fraction layout
+
+
+def fraction_negative(atlas, style):
+    """The negative panel grid laid out in world-unit Fractions, as first
+    written: the reference the quarter-unit integer layout of `render_atlas`
+    must match byte for byte."""
+    degs = sorted((c for c in atlas.chambers if isinstance(c, DegChamber)),
+                  key=lambda c: c.sort_key())
+    tris = []
+    for c in degs:
+        u1, u2, _ = c.triple.elements()
+        tris.append([(0, 0), (u1.m, u1.n), (-u2.m, -u2.n)])
+    span = max(max(abs(Fraction(x)) for p in t for x in p) for t in tris) + Fraction(1)
+    ncols = max(1, int(len(degs) ** 0.5 + Fraction(1, 2)))
+    pitch = 2 * span + 1
+    panels = []
+    for idx in range(len(degs)):
+        row, col = divmod(idx, ncols)
+        panels.append((Fraction(col * pitch), Fraction(-row * pitch)))
+    xs = [ox + d for ox, _ in panels for d in (-span, span)]
+    ys = [oy + d for _, oy in panels for d in (-span, span)]
+    m = style.margin
+    scene = Scene(min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m, style=style)
+    for c, tri, (ox, oy) in zip(degs, tris, panels):
+        pts = [(ox + Fraction(x), oy + Fraction(y)) for x, y in tri]
+        scene.add_polygon(pts, "chamber")
+        a, b = pts[0], pts[1]
+        nx, ny = Fraction(b[1] - a[1]) / 4, Fraction(a[0] - b[0]) / 4
+        band = [a, b, (b[0] + nx, b[1] + ny), (a[0] + nx, a[1] + ny)]
+        scene.add_polygon(band, "halfplane", fill="#e0e8f0")
+        label = "".join(f"({e.m},{e.n})" for e in c.triple.elements())
+        scene.add_text((ox - span + Fraction(1, 4), oy + span - Fraction(1, 4)), label, "label")
+    return scene.emit()
+
+
+class TestNegativeLayout:
+    @pytest.mark.parametrize("bound", range(1, 9))
+    def test_matches_fraction_layout(self, bound):
+        # the grids of bounds 3 and up end in a partial row (bound 3: 28
+        # panels in 5 columns, 3 in the last row)
+        atlas = build_negative(bound)
+        for a in (atlas, _loaded(atlas_to_json_dict(atlas))):
+            assert render_atlas(a) == fraction_negative(a, Style())
+
+    @pytest.mark.parametrize(
+        "style",
+        [Style(margin=Fraction(1, 3)), Style(scale=17), Style(margin=0)],
+        ids=["margin-1/3", "scale-17", "margin-0"],
+    )
+    def test_custom_style_matches_fraction_layout(self, style):
+        # a margin finer than 1/4 leaves the viewport a Fraction of 1/4 units
+        atlas = build_negative(3)
+        assert render_atlas(atlas, style) == fraction_negative(atlas, style)
