@@ -1048,29 +1048,16 @@ def _collect_stars(atlas: Atlas) -> None:
             key = _germ_key(germ)
             if key in visited or key in open_:
                 continue
-            tag = None
-            if (
-                atlas.kind == "arith_real"
-                and isinstance(seg.chamber, CylArithChamber)
-                and seg.chamber.k == 1
-                and v.is_zero()
-            ):
-                tag = "pinched_torus"
             try:
                 sectors, keys = _walk(atlas, germ, open_, memo)
             except (_Unglued, NotAVertex):
                 continue
-            star = _star(atlas, sectors, tag=tag)
             visited.update(keys)
-            if tag == "pinched_torus":
+            if _at_center(atlas, seg.chamber, v):
                 if atlas.center is None:
-                    atlas.center = Singularity(
-                        ident=("center",),
-                        sectors=star.sectors,
-                        total=star.total,
-                        tag="pinched_torus",
-                    )
+                    atlas.center = _star(atlas, sectors, ("center",), "pinched_torus")
                 continue
+            star = _star(atlas, sectors)
             stars[star.ident] = star
     atlas.singularities = [stars[k] for k in sorted(stars)]
 
@@ -1097,21 +1084,23 @@ def singularity_star(atlas: Atlas, point) -> Singularity:
     else:
         v = _to_fe(atlas, coord)
         germ = (chamber, ("line",), v, +1)
-    tag = None
-    if (
+    try:
+        if _at_center(atlas, chamber, germ[2]):
+            return _walk_star(atlas, germ, ("center",), "pinched_torus")
+        return _walk_star(atlas, germ)
+    except _Unglued as e:
+        raise NotAVertex(f"{point} is not an interior vertex of the atlas: {e}")
+
+
+def _at_center(atlas: Atlas, chamber, v) -> bool:
+    """Is coordinate ``v`` of ``chamber`` the pinched-torus center, the
+    vertex 0 of a k = 1 chamber of an arithmetic atlas?"""
+    return (
         atlas.kind == "arith_real"
         and isinstance(chamber, CylArithChamber)
         and chamber.k == 1
-        and germ[2].is_zero()
-    ):
-        tag = "pinched_torus"
-    try:
-        star = _walk_star(atlas, germ, tag=tag)
-    except _Unglued as e:
-        raise NotAVertex(f"{point} is not an interior vertex of the atlas: {e}")
-    if tag == "pinched_torus":
-        return Singularity(("center",), star.sectors, star.total, tag=tag)
-    return star
+        and v.is_zero()
+    )
 
 
 def _to_fe(atlas: Atlas, x) -> FieldElement:
@@ -1130,14 +1119,10 @@ def connectivity_check(atlas: Atlas):
     Returns ``(connected, spanning_tree)`` where the tree is a list of
     ``(parent, child)`` chamber pairs in BFS discovery order.
     """
-    adj = {}
-    for c in atlas.chambers:
-        adj[c] = set()
-    for g in atlas.gluings:
-        a, b = g.seg_a.chamber, g.seg_b.chamber
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = {c: set() for c in atlas.chambers}
+    for a, b in _chamber_adjacency(atlas):
+        adj[a].add(b)
+        adj[b].add(a)
     if not atlas.chambers:
         return True, []
     start = min(atlas.chambers, key=_chamber_key)
@@ -1158,13 +1143,15 @@ def connectivity_check(atlas: Atlas):
 
 def adjacency_graph(atlas: Atlas):
     """Nodes and unordered adjacency pairs of the chamber graph."""
-    nodes = set(atlas.chambers)
-    edges = set()
+    return set(atlas.chambers), {frozenset(e) for e in _chamber_adjacency(atlas)}
+
+
+def _chamber_adjacency(atlas: Atlas):
+    """The ``(a, b)`` chamber pair of each gluing across two chambers."""
     for g in atlas.gluings:
         a, b = g.seg_a.chamber, g.seg_b.chamber
         if a != b:
-            edges.add(frozenset((a, b)))
-    return nodes, edges
+            yield a, b
 
 
 def arithmetic_reachability(kmax: int):
@@ -1253,14 +1240,14 @@ class WallTree:
 _CENTER = -1  # the center's vertex in `wall_tree`'s tables; stars are their indices
 
 
-def _wall_end(star_at: dict, g: Gluing, v):
+def _wall_end(atlas: Atlas, star_at: dict, g: Gluing, v):
     """``(vertex, truncated)`` of the wall end at coordinate ``v`` of its source."""
     seg = g.seg_a
     if v is None:
         raise IsoleafError(
             f"the wall of {seg.chamber} on ({seg.lo}, {seg.hi}) has an infinite end"
         )
-    if seg.chamber.k == 1 and v.is_zero():
+    if _at_center(atlas, seg.chamber, v):
         return _CENTER, False
     # the corner's sector, by its chamber and exact coordinate; no star
     # means the walk around this corner runs into an unglued ray
@@ -1299,7 +1286,7 @@ def wall_tree(atlas: Atlas) -> WallTree:
     by_vertex = {}
     roots = []
     for g, key in marked.values():
-        pair = (_wall_end(star_at, g, g.seg_a.lo), _wall_end(star_at, g, g.seg_a.hi))
+        pair = (_wall_end(atlas, star_at, g, g.seg_a.lo), _wall_end(atlas, star_at, g, g.seg_a.hi))
         for vertex, _ in pair:
             if vertex is not None:
                 by_vertex.setdefault(vertex, []).append(g)
@@ -1372,13 +1359,15 @@ def check_atlas(atlas: Atlas) -> CheckReport:
         for b in bad:
             failures.append({"check": name, **b})
 
-    run("gluing-involution", lambda: _check_involution(atlas, keys, key_set))
+    run("gluing-involution", lambda: _check_images(
+        atlas, keys, key_set, _reverse_key, "missing-reverse-of"))
     run("segments-glued-once", lambda: _check_single_use(atlas, keys))
     run("cone-angles", lambda: _check_cone_angles(atlas))
     if atlas.kind == "arith_real":
         run("wall-surface-match", lambda: _check_wall_match(atlas))
         run("phi-count", lambda: _check_phi_count(atlas))
-        run("involution-equivariance", lambda: _check_arith_involution(atlas, keys, key_set))
+        run("involution-equivariance", lambda: _check_images(
+            atlas, keys, key_set, _iota_key, "missing-involution-image-of"))
     del keys, key_set  # not held through the connectivity walk
     run("connectivity", lambda: _check_connectivity(atlas))
     return CheckReport(passed=not failures, checks=checks, failures=failures)
@@ -1431,11 +1420,13 @@ def _iota_seg_key(key):
     return (chamber[:3] + (-chamber[3],), part, _neg_coord_key(hi), _neg_coord_key(lo))
 
 
-def _check_involution(atlas: Atlas, keys: list, key_set: set):
+def _check_images(atlas: Atlas, keys: list, key_set: set, image, label: str):
+    """One ``{label: segment}`` entry per gluing whose ``image(g, key)`` is
+    not the key of a stored gluing, in gluing order."""
     bad = []
     for g, key in zip(atlas.gluings, keys):
-        if _reverse_key(g, key) not in key_set:
-            bad.append({"missing-reverse-of": _seg_desc(g.seg_a)})
+        if image(g, key) not in key_set:
+            bad.append({label: _seg_desc(g.seg_a)})
     return bad
 
 
@@ -1539,14 +1530,6 @@ def _check_phi_count(atlas: Atlas):
                 bad.append(
                     {"k": k, "sign": sign, "count": counts.get((k, sign), 0), "phi": phi(k)}
                 )
-    return bad
-
-
-def _check_arith_involution(atlas: Atlas, keys: list, key_set: set):
-    bad = []
-    for g, key in zip(atlas.gluings, keys):
-        if _iota_key(g, key) not in key_set:
-            bad.append({"missing-involution-image-of": _seg_desc(g.seg_a)})
     return bad
 
 

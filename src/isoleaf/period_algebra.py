@@ -239,6 +239,21 @@ def _is_square_free(n: int) -> bool:
     return all(e == 1 for e in _factor(n).values())
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``s a + t b = g = gcd(a, b) >= 0``."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 _FIELDS: dict = {}  # the shared GroundField instance of each (tag, D)
 
 
@@ -300,9 +315,7 @@ class GroundField:
     @property
     def symbol_square(self) -> int | None:
         """Square of the adjoined symbol: -1, D, or None for Q."""
-        if self.tag == "gaussian":
-            return -1
-        return self.D
+        return self._w2 or None
 
     @property
     def is_real(self) -> bool:
@@ -775,18 +788,10 @@ def symplectic_partner(u: LatticeElement) -> LatticeElement:
     if u.is_zero():
         raise ZeroElement("the zero element has no symplectic partner")
     m, n = u.m, u.n
-    if gcd(m, n) != 1:
+    g, x0, y0 = _ext_gcd(m, n)
+    if g != 1:
         raise ValueError(f"{u!r} is imprimitive and has no symplectic partner")
-    # extended gcd: x*m + y*n == 1, then v0 = (-y, x) gives det(u, v0) == 1
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    a, b = m, n
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a == -1:
-        x0, y0 = -x0, -y0
+    # x0*m + y0*n == 1, so v0 = (-y0, x0) gives det(u, v0) == 1
     v0 = LatticeElement(-y0, x0)
     # minimize |v0 + k u| over integers k (projection, rounded half-up)
     t = Fraction(-(v0.m * m + v0.n * n), m * m + n * n)
@@ -904,15 +909,6 @@ class PeriodCharacter:
     def lattice_value(self, u: LatticeElement) -> FieldElement:
         """The period ``m*g1 + n*g2`` of a lattice element."""
         return u.m * self.g1 + u.n * self.g2
-
-    def classify(self) -> LeafKind:
-        return classify(self)
-
-    def change_basis(self, A: Mat2) -> "PeriodCharacter":
-        return change_basis(self, A)
-
-    def normalize(self) -> "NormalizedCharacter":
-        return normalize(self)
 
     # -- serialization -----------------------------------------------------
 
@@ -1132,25 +1128,11 @@ def normalize(chi: PeriodCharacter) -> NormalizedCharacter:
 
 def _basis_change_to_one_zero(p: int, q: int) -> Mat2:
     """A determinant-one matrix A with ``(p, q) A = (1, 0)``."""
-    if gcd(p, q) != 1:
+    g, x, y = _ext_gcd(p, q)
+    if g != 1:
         raise ValueError("expected coprime integer periods")
-    # x p + y q = 1
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    a, b = p, q
-    while b:
-        k = a // b
-        a, b = b, a - k * b
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    if a == -1:
-        x0, y0 = -x0, -y0
-    # first column (x0, y0): (p, q) . (x0, y0) = 1; complete to det 1
-    A = ((x0, -q), (y0, p))
-    assert mat2_det(A) == 1
-    # shear away the second entry: (p, q) A = (1, n) -> subtract n * first col
-    n = p * A[0][1] + q * A[1][1]
-    shear = ((1, -n), (0, 1))
-    return mat2_mul(A, shear)
+    # x p + y q = 1 is the determinant, and (p, q) . (-q, p) = 0
+    return ((x, -q), (y, p))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from isoleaf.leaf_atlas import Atlas, CylChamber, DegChamber, wall_tree
-from isoleaf.period_algebra import IsoleafError
+from isoleaf.period_algebra import InvalidInput, IsoleafError
 from isoleaf.surface_kernel import (
     CylinderSurface,
     HexagonSurface,
@@ -61,6 +61,12 @@ class Style:
     label_color: str = "#cc0000"
     marker_radius: float = 3.5
     font_size: int = 12
+
+    def __post_init__(self) -> None:
+        # the layouts add the margin to exact coordinates
+        m = self.margin
+        if isinstance(m, bool) or not isinstance(m, (int, Fraction)) or m < 0:
+            raise InvalidInput(f"Style margin must be an int or Fraction >= 0, not {m!r}")
 
 
 @dataclass
@@ -206,8 +212,7 @@ def _fe_xy(value) -> tuple:
         return (value.a, value.b)
     if value.field.tag == "rational":
         return (value.a, Fraction(0))
-    # quadratic: a + b sqrt(D), a real number
-    return (float(value.a) + float(value.b) * float(value.field.D) ** 0.5, Fraction(0))
+    return (float(value), Fraction(0))  # quadratic: a real number
 
 
 def _ec_xy(z) -> tuple:

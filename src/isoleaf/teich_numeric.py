@@ -58,6 +58,7 @@ from isoleaf.period_algebra import (
     IsoleafError,
     PeriodCharacter,
     WrongLeafKind,
+    _ext_gcd,
     classify,
 )
 
@@ -752,7 +753,10 @@ def _companion(p: int, q: int) -> tuple[int, int]:
     """Complete primitive ``(p, q)`` to a positive basis with short projection.
 
     Returns ``(r, s)`` with ``p s - q r = 1`` minimizing the projection of
-    ``r + s i`` onto ``p + q i``.
+    ``r + s i`` onto ``p + q i``.  This is not
+    `~isoleaf.period_algebra.symplectic_partner`: at the ties (1, -1) and
+    (-1, -1) the two round the projection to opposite sides, and σ of a
+    trace is read in this basis, so trading one for the other shifts σ by 1.
     """
     g, x, y = _ext_gcd(p, q)
     # p*x + q*y = 1 -> choose r = -y, s = x so that p*s - q*r = 1
@@ -761,20 +765,6 @@ def _companion(p: int, q: int) -> tuple[int, int]:
     proj = p * r + q * s  # Re(v * conj(u)) in the square-lattice embedding
     k = round(proj / norm2)
     return r - k * p, s - k * q
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _wall_crossings(za: complex, zb: complex, p1: complex, p2: complex) -> bool:

@@ -90,19 +90,10 @@ class ConjSL2Z:
 
     conjugator: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": "conj_sl2z",
-            "conjugator": [[_frac_str(x) for x in row] for row in self.conjugator],
-        }
-
 
 @dataclass(frozen=True)
 class TriangularV:
     """The triangular group {±[[1, b], [0, a]] : a > 0}."""
-
-    def to_json_dict(self) -> dict:
-        return {"variant": "triangular"}
 
 
 @dataclass(frozen=True)
@@ -126,21 +117,6 @@ class QuadraticV:
     @property
     def matrix(self) -> tuple:
         return module_matrix(self.D, self.tau, self.generator)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": "quadratic",
-            "D": str(self.D),
-            "tau": [str(x) for x in self.tau],
-            "generator": [str(x) for x in self.generator],
-            "exponent": str(self.exponent),
-            "matrix": [[_frac_str(x) for x in row] for row in self.matrix],
-        }
-
-
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the leaf atlas builders, gluing rules, stars and wall tree."""
 
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 from math import gcd
@@ -1155,3 +1156,49 @@ class TestIotaInvolution:
         keys = {g.key() for g in atlas.gluings}
         for g in atlas.gluings:
             assert _iota_image(g).key() in keys
+
+
+def _without(atlas, *gluings):
+    gone = {g.key() for g in gluings}
+    return dataclasses.replace(atlas, gluings=[g for g in atlas.gluings if g.key() not in gone])
+
+
+def _line_seg(chamber, lo, hi):
+    return {"chamber": chamber, "part": "('line',)", "lo": lo, "hi": hi}
+
+
+class TestCheckEntries:
+    """The exact failure entries of the two key-image checks, in order."""
+
+    def test_missing_reverse(self):
+        atlas = build_negative(2)
+        report = check_atlas(_without(atlas, atlas.gluings[0].reverse()))
+        assert report.failures == [{
+            "check": "gluing-involution",
+            "missing-reverse-of": _line_seg("CylChamber(u=LatticeElement(m=-1, n=-1))", "-2", "-1"),
+        }]
+        assert [name for name, ok in report.checks if not ok] == ["gluing-involution"]
+
+    def test_missing_involution_image(self):
+        atlas = build_arithmetic(4)
+        image = _iota_image(atlas.gluings[0])
+        report = check_atlas(_without(atlas, image))
+        assert report.failures == [
+            {"check": "gluing-involution",
+             "missing-reverse-of": _line_seg("CylArithChamber(k=4, l=1, sign=1)", "0", "1")},
+            {"check": "involution-equivariance",
+             "missing-involution-image-of": _line_seg("CylArithChamber(k=1, l=0, sign=1)", "-4", "-3")},
+        ]
+
+    def test_missing_involution_image_and_its_reverse(self):
+        atlas = build_arithmetic(4)
+        image = _iota_image(atlas.gluings[0])
+        report = check_atlas(_without(atlas, image, image.reverse()))
+        assert report.failures == [
+            {"check": "involution-equivariance",
+             "missing-involution-image-of": _line_seg("CylArithChamber(k=1, l=0, sign=1)", "-4", "-3")},
+            {"check": "involution-equivariance",
+             "missing-involution-image-of": _line_seg("CylArithChamber(k=4, l=1, sign=-1)", "-1", "0")},
+        ]
+        assert [name for name, ok in report.checks if not ok] == ["involution-equivariance"]
+

@@ -34,7 +34,7 @@ from isoleaf.period_algebra import (
     volume,
 )
 from isoleaf import period_algebra
-from isoleaf.period_algebra import _factor, _is_square_free
+from isoleaf.period_algebra import _basis_change_to_one_zero, _ext_gcd, _factor, _is_square_free
 
 # ---------------------------------------------------------------------------
 # factoring and square-freeness
@@ -279,10 +279,69 @@ class TestLatticeElement:
             w = LatticeElement(v.m + k * u.m, v.n + k * u.n)
             assert w.m**2 + w.n**2 >= v.m**2 + v.n**2
 
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_ext_gcd_bezout(self, a, b):
+        g, s, t = _ext_gcd(a, b)
+        assert g == gcd(a, b) >= 0
+        assert s * a + t * b == g
+
+    def test_merged_euclid_matches_inline_euclid(self):
+        # every primitive pair of the box, against the loops the two callers
+        # inlined before they shared `_ext_gcd`
+        pairs = [(m, n) for m in range(-60, 61) for n in range(-60, 61) if gcd(m, n) == 1]
+        assert len(pairs) > 8000
+        for m, n in pairs:
+            v = symplectic_partner(LatticeElement(m, n))
+            assert (v.m, v.n) == inline_symplectic_partner(m, n), (m, n)
+            assert _basis_change_to_one_zero(m, n) == inline_basis_change_to_one_zero(m, n), (m, n)
+
+    def test_basis_change_rejects_imprimitive_pairs(self):
+        for p, q in ((0, 0), (2, 4), (-3, 0)):
+            with pytest.raises(ValueError):
+                _basis_change_to_one_zero(p, q)
+
     def test_pm_representative(self):
         assert pm_representative(LatticeElement(-1, 2)) == LatticeElement(1, -2)
         assert pm_representative(LatticeElement(0, -3)) == LatticeElement(0, 3)
         assert pm_representative(LatticeElement(2, 5)) == LatticeElement(2, 5)
+
+
+def _inline_euclid(m, n):
+    """``(x, y)`` with ``x m + y n = 1``, by the loop each caller inlined."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    a, b = m, n
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a == -1:
+        x0, y0 = -x0, -y0
+    return x0, y0
+
+
+def inline_symplectic_partner(m, n):
+    """`symplectic_partner` of a primitive ``(m, n)`` as first written."""
+    x0, y0 = _inline_euclid(m, n)
+    v0 = (-y0, x0)
+    t = Fraction(-(v0[0] * m + v0[1] * n), m * m + n * n)
+    k = (t + Fraction(1, 2)).numerator // (t + Fraction(1, 2)).denominator
+    best = (v0[0] + k * m, v0[1] + k * n)
+    for kk in (k - 1, k + 1):
+        cand = (v0[0] + kk * m, v0[1] + kk * n)
+        if (cand[0] ** 2 + cand[1] ** 2, *cand) < (best[0] ** 2 + best[1] ** 2, *best):
+            best = cand
+    return best
+
+
+def inline_basis_change_to_one_zero(p, q):
+    """`_basis_change_to_one_zero` of a primitive ``(p, q)`` as first
+    written, with the shear by ``n = (p, q) . (-q, p)`` it applied."""
+    x0, y0 = _inline_euclid(p, q)
+    A = ((x0, -q), (y0, p))
+    assert mat2_det(A) == 1
+    n = p * A[0][1] + q * A[1][1]
+    return mat2_mul(A, ((1, -n), (0, 1)))
 
 
 # ---------------------------------------------------------------------------

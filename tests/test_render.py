@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from isoleaf.leaf_atlas import (
 )
 from isoleaf.period_algebra import (
     GroundField,
+    InvalidInput,
     LatticeElement,
     PeriodCharacter,
 )
@@ -550,3 +552,28 @@ class TestNegativeLayout:
         # a margin finer than 1/4 leaves the viewport a Fraction of 1/4 units
         atlas = build_negative(3)
         assert render_atlas(atlas, style) == fraction_negative(atlas, style)
+
+
+class TestStyleMargin:
+    @pytest.mark.parametrize("margin", [0.5, -1, "1", True], ids=["float", "negative", "str", "bool"])
+    def test_rejected_at_construction_in_one_line(self, margin):
+        with pytest.raises(InvalidInput) as e:
+            Style(margin=margin)
+        assert "\n" not in str(e.value)
+
+
+def hand_embedding(value):
+    """The real number ``a + b sqrt(D)`` as the renderer once computed it."""
+    return float(value.a) + float(value.b) * float(value.field.D) ** 0.5
+
+
+def test_float_of_quadratic_element_is_the_hand_embedding():
+    rng = random.Random(1818)
+    for D in (2, 3, 5, 6, 7, 10, 11, 13, 15):
+        F = GroundField.quadratic(D)
+        for _ in range(2000):
+            big = rng.random() < 0.25
+            a, b = (Fraction(rng.randint(-10**30, 10**30) if big else rng.randint(-999, 999),
+                             rng.randint(1, 10**20 if big else 60)) for _ in range(2))
+            x = F.element(a, b)
+            assert float(x).hex() == hand_embedding(x).hex(), (D, a, b)

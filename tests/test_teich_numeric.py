@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoleaf import stats
-from isoleaf.period_algebra import InvalidInput, PeriodCharacter, WrongLeafKind
+from isoleaf.period_algebra import (
+    InvalidInput,
+    LatticeElement,
+    PeriodCharacter,
+    WrongLeafKind,
+    symplectic_partner,
+)
 from isoleaf.teich_numeric import (
     DegenerateSystem,
     NoConvergence,
@@ -20,6 +26,7 @@ from isoleaf.teich_numeric import (
     WeierstrassData,
     _FormState,
     _carlson_rf,
+    _companion,
     _least_squares,
     _lift,
     _newton_track,
@@ -768,6 +775,20 @@ class TestChamberTrace:
         p, q = tr.u
         r, s = tr.v
         assert p * s - q * r == 1
+
+    def test_companion_differs_from_symplectic_partner_only_at_two_ties(self):
+        # both complete u = (p, q) to a basis with det 1 and a short
+        # projection; they round the projection 1/2 to opposite sides at
+        # these two, so neither can replace the other without moving σ
+        differ = {}
+        for p in range(-60, 61):
+            for q in range(-60, 61):
+                if math.gcd(p, q) != 1:
+                    continue
+                v = symplectic_partner(LatticeElement(p, q))
+                if (v.m, v.n) != _companion(p, q):
+                    differ[(p, q)] = ((v.m, v.n), _companion(p, q))
+        assert differ == {(1, -1): ((0, 1), (1, 0)), (-1, -1): ((0, -1), (1, 0))}
 
     def test_normalization_sends_cusp_to_infinity(self):
         tr = chamber_trace(CHI_POS, (1, 1), [1.0])
