@@ -24,6 +24,7 @@ angles at singular points are certified in integer multiples of
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -202,27 +203,22 @@ class BoundarySegment:
     hi: FieldElement | None
 
     def key(self):
-        return (
-            _chamber_key(self.chamber),
-            self.part_key(),
-            _coord_key(self.lo, -1),
-            _coord_key(self.hi, +1),
-        )
+        """Total-order key ``(chamber key, part key, lo key, hi key)``."""
+        return _keyer().segment(self)
 
-    def part_key(self):
-        out = []
-        for x in self.part:
-            if isinstance(x, LatticeElement):
-                out.append(("lat", x.m, x.n))
-            else:
-                out.append(x)
-        return tuple(out)
+
+def _part_key(part):
+    return tuple(("lat", x.m, x.n) if isinstance(x, LatticeElement) else x for x in part)
 
 
 def _coord_key(x, inf_sign):
     if x is None:
         return (inf_sign, 0, 1, 0, 1)
     return (0,) + x.fraction_parts()
+
+
+# an infinite lower end sorts before every coordinate, an infinite upper end after
+_LO_INF, _HI_INF = _coord_key(None, -1), _coord_key(None, +1)
 
 
 @dataclass(frozen=True)
@@ -241,9 +237,36 @@ class Gluing:
         # x_a = sigma * x_b - sigma * c
         return Gluing(self.seg_b, self.seg_a, self.sigma, -self.sigma * self.c)
 
-    def key(self, seg_key=BoundarySegment.key):
-        """Total-order key; ``seg_key`` may be a memoized `BoundarySegment.key`."""
-        return (seg_key(self.seg_a), seg_key(self.seg_b), self.sigma, _coord_key(self.c, 0))
+    def key(self):
+        """Total-order key ``(seg_a key, seg_b key, sigma, c key)``; see `_keyer`."""
+        return _keyer()(self)
+
+
+def _keyer():
+    """The order key of a gluing, as a function ``g -> g.key()``.
+
+    One keyer keys each chamber, boundary part and coordinate once (a
+    coordinate by its normal form) and each segment once, by its id, and
+    equal pieces of different keys are one tuple.  So it may only meet
+    segments held for as long as it lives, and it should not outlive the
+    call that makes it.  ``.segment`` is its segment keyer.
+    """
+    chamber_key = _kept(_chamber_key, by=id)
+    part_key = _kept(_part_key)
+    coord_key = _kept(lambda x: _coord_key(x, 0), by=FieldElement.normal_form)
+
+    def segment(seg):
+        return (chamber_key(seg.chamber), part_key(seg.part),
+                _LO_INF if seg.lo is None else coord_key(seg.lo),
+                _HI_INF if seg.hi is None else coord_key(seg.hi))
+
+    seg_key = _kept(segment, by=id)
+
+    def key(g):
+        return (seg_key(g.seg_a), seg_key(g.seg_b), g.sigma, coord_key(g.c))
+
+    key.segment = seg_key
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +426,8 @@ def _kept(fn, by=None):
 
 
 def _dedupe_gluings(records) -> list[Gluing]:
-    seg_key = _kept(BoundarySegment.key, by=id)  # records share their segments
-    seen = {}
-    for g in records:
-        seen[g.key(seg_key)] = g
+    key = _keyer()  # records share their segments
+    seen = {key(g): g for g in records}
     return [seen[k] for k in sorted(seen)]
 
 
@@ -1117,41 +1138,57 @@ def connectivity_check(atlas: Atlas):
     """BFS over the chamber adjacency graph.
 
     Returns ``(connected, spanning_tree)`` where the tree is a list of
-    ``(parent, child)`` chamber pairs in BFS discovery order.
+    ``(parent, child)`` chamber pairs in BFS discovery order.  The walk
+    starts at the least listed chamber in `_chamber_key` order and takes
+    each chamber's neighbours in that order.  ``connected`` also requires
+    the chamber list to name each chamber of the gluings exactly once; a
+    chamber it lacks is walked after the listed ones.
     """
-    adj = {c: set() for c in atlas.chambers}
-    for a, b in _chamber_adjacency(atlas):
-        adj[a].add(b)
-        adj[b].add(a)
-    if not atlas.chambers:
+    chambers = sorted(set(atlas.chambers), key=_chamber_key)
+    listed = len(chambers)
+    index = {c: i for i, c in enumerate(chambers)}
+    # a gluing's chamber is mostly a listed object itself: look up its id first
+    by_id = {id(c): index[c] for c in atlas.chambers}
+    neighbours = [set() for _ in chambers]
+
+    def find(c):
+        i = by_id.get(id(c))
+        if i is None:
+            i = index.get(c)
+            if i is None:  # not listed
+                i = index[c] = len(chambers)
+                chambers.append(c)
+                neighbours.append(set())
+        return i
+
+    for g in atlas.gluings:
+        i, j = find(g.seg_a.chamber), find(g.seg_b.chamber)
+        if i != j:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    if not chambers:
         return True, []
-    start = min(atlas.chambers, key=_chamber_key)
-    seen = {start}
+    seen = [False] * len(chambers)
+    seen[0] = True
     tree = []
-    frontier = [start]
+    frontier = [0]
     while frontier:
         nxt = []
-        for c in frontier:
-            for d in sorted(adj[c], key=_chamber_key):
-                if d not in seen:
-                    seen.add(d)
-                    tree.append((c, d))
-                    nxt.append(d)
+        for i in frontier:
+            for j in sorted(neighbours[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    tree.append((chambers[i], chambers[j]))
+                    nxt.append(j)
         frontier = nxt
-    return len(seen) == len(atlas.chambers), tree
+    connected = len(tree) + 1 == len(chambers) == listed == len(atlas.chambers)
+    return connected, tree
 
 
 def adjacency_graph(atlas: Atlas):
     """Nodes and unordered adjacency pairs of the chamber graph."""
-    return set(atlas.chambers), {frozenset(e) for e in _chamber_adjacency(atlas)}
-
-
-def _chamber_adjacency(atlas: Atlas):
-    """The ``(a, b)`` chamber pair of each gluing across two chambers."""
-    for g in atlas.gluings:
-        a, b = g.seg_a.chamber, g.seg_b.chamber
-        if a != b:
-            yield a, b
+    edges = {frozenset((g.seg_a.chamber, g.seg_b.chamber)) for g in atlas.gluings}
+    return set(atlas.chambers), {e for e in edges if len(e) == 2}
 
 
 def arithmetic_reachability(kmax: int):
@@ -1277,10 +1314,12 @@ def wall_tree(atlas: Atlas) -> WallTree:
             star_at[(sector.chamber, a.numerator, a.denominator, b.numerator, b.denominator)] = i
     # one marked wall per record pair: keep source = plus chamber
     marked = {}
+    gluing_key = _keyer()
     for g in atlas.gluings:
         if g.seg_a.chamber.sign == +1:
-            key = g.key()
+            key = gluing_key(g)
             marked[key[0]] = g, key
+    del gluing_key
     # per wall, by id: endpoint (vertex, truncated) pairs, orbit key, record key
     ends, orbit, order = {}, {}, {}
     by_vertex = {}
@@ -1346,8 +1385,9 @@ def check_atlas(atlas: Atlas) -> CheckReport:
     failures = []
     # every key check reads these; reverse and marking-involution keys are
     # derived from the stored tuples
-    keys = [g.key() for g in atlas.gluings]
-    key_set = set(keys)
+    with stats.span("check.keys"):
+        keys = list(map(_keyer(), atlas.gluings))
+        key_set = set(keys)
 
     def run(name, fn):
         try:
@@ -1534,8 +1574,22 @@ def _check_phi_count(atlas: Atlas):
 
 
 def _check_connectivity(atlas: Atlas):
-    ok, _ = connectivity_check(atlas)
-    return [] if ok else [{"connectivity": "chamber graph is disconnected"}]
+    """Nothing if `connectivity_check` passes; otherwise one entry per chamber
+    listed twice or not listed, in `_chamber_key` order, then one if the
+    walk misses a chamber."""
+    ok, tree = connectivity_check(atlas)
+    if ok:
+        return []
+    listed = Counter(atlas.chambers)
+    glued = {c for g in atlas.gluings for c in (g.seg_a.chamber, g.seg_b.chamber)}
+    nodes = sorted(listed.keys() | glued, key=_chamber_key)
+    bad = []
+    for c in nodes:
+        if listed[c] != 1:
+            bad.append({"chamber-listed-twice" if listed[c] else "chamber-not-listed": repr(c)})
+    if len(tree) + 1 < len(nodes):
+        bad.append({"connectivity": "chamber graph is disconnected"})
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -1672,15 +1726,13 @@ def atlas_to_json_dict(atlas: Atlas) -> dict:
     """
     chamber_json, part_json = _kept(_chamber_json), _kept(_part_json)
     fe_json = _kept(FieldElement.to_json)
-    # the atlas holds each segment through the call, so its id names it
-    seg_key = _kept(BoundarySegment.key, by=id)
     seg_json = _kept(lambda seg: {
         "chamber": chamber_json(seg.chamber),
         "part": part_json(seg.part),
         "lo": None if seg.lo is None else fe_json(seg.lo),
         "hi": None if seg.hi is None else fe_json(seg.hi),
     }, by=id)
-    gluings = sorted(atlas.gluings, key=lambda g: g.key(seg_key))
+    gluings = sorted(atlas.gluings, key=_keyer())  # the atlas holds each segment
     sings = sorted(atlas.singularities, key=lambda s: s.ident)
     return {
         "schema": _SCHEMA,
