@@ -500,26 +500,26 @@ def _positive_stars(atlas: Atlas) -> None:
         {pm_representative(c.u) for c in atlas.chambers if isinstance(c, CylChamber)},
         key=lambda u: (u.max_norm(), u.m, u.n),
     )
-    one = GroundField.rational().element(1)
     torus = TorusChamber()
-    for rep in reps:
-        start = (torus, ("slit", rep, "L"), one, +1)
-        atlas.singularities.append(_walk_star(atlas, start, ident=("pos", (rep.m, rep.n))))
+    with stats.span("stars"):
+        for rep in reps:
+            start = (torus, ("slit", rep, "L"), _ONE, +1)
+            atlas.singularities.append(_walk_star(atlas, start, ident=("pos", (rep.m, rep.n))))
+    stats.count("star_walks", len(reps))
+    stats.count("open_walks", 0)
 
 
 # ---------------------------------------------------------------------------
 # negative leaves
 
 
-def _partner_offset(u: LatticeElement, w: LatticeElement) -> int:
-    """The integer m with w = symplectic_partner(u) + m * u."""
-    p = symplectic_partner(u)
-    d = w - p
-    if u.m != 0:
-        m, r = divmod(d.m, u.m)
-    else:
-        m, r = divmod(d.n, u.n)
-    if r != 0 or p + u.scale(m) != w:
+def _partner_offset(u: LatticeElement, w: LatticeElement, p=None) -> int:
+    """The integer m with w = p + m * u, for p = symplectic_partner(u) unless given."""
+    if p is None:
+        p = symplectic_partner(u)
+    dm, dn = w.m - p.m, w.n - p.n
+    m, r = divmod(dm, u.m) if u.m else divmod(dn, u.n)
+    if r or (dm, dn) != (m * u.m, m * u.n):
         raise BadSegment(f"{w} is not a partner translate of {u}")
     return m
 
@@ -531,7 +531,9 @@ def build_negative(bound: int) -> Atlas:
     ``z = v_can(u) + t u`` (``v_can`` the canonical symplectic partner
     period); the coarse segment ``(m, m+1)`` is glued to the side of
     direction ``u`` of the triangle chamber of the triple
-    ``(u, v_can + m u, -u - (v_can + m u))``, by ``t = m + s``.
+    ``(u, v_can + m u, -u - (v_can + m u))``, by ``t = m + s``.  Past the
+    glued window ``(least m, greatest m + 1)`` each boundary line is a
+    truncated ray.
     """
     if bound < 1:
         raise WrongLeafKind(_TOO_SMALL["negative"])
@@ -542,79 +544,85 @@ def build_negative(bound: int) -> Atlas:
     cyl = {u: CylChamber(u) for u in prims}
     deg = {T: DegChamber(T) for T in triples}
     chambers = sorted([*cyl.values(), *deg.values()], key=_chamber_key)
+    num = _kept(Q.element)  # each integer coordinate once
+    # per class: its cylinder, its partner and the offsets m its windows are glued at
+    classes = {(u.m, u.n): (cyl[u], symplectic_partner(u), []) for u in prims}
 
-    def records_for(T: CharacteristicTriple):
+    def records_for(T: CharacteristicTriple, triangle: DegChamber):
         recs = []
         for i in (1, 2, 3):
             a, b, _ = T.rotated(i - 1)
-            m = _partner_offset(a, b)
-            seg_side = BoundarySegment(deg[T], ("side", i), Q.element(0), Q.element(1))
-            seg_line = BoundarySegment(
-                cyl[a], ("line",), Q.element(m), Q.element(m + 1)
-            )
-            recs.append(Gluing(seg_side, seg_line, +1, Q.element(m)))
+            line, p, ms = classes[a.m, a.n]
+            m = _partner_offset(a, b, p)
+            ms.append(m)
+            seg_side = BoundarySegment(triangle, ("side", i), _ZERO, _ONE)
+            seg_line = BoundarySegment(line, ("line",), num(m), num(m + 1))
+            recs.append(Gluing(seg_side, seg_line, +1, num(m)))
         return recs
 
-    records = [g for T in triples for g in records_for(T)]
-    gluings = _with_reverses(records)
-    atlas = Atlas(
-        kind="negative",
-        character=chi,
-        bound=bound,
-        chambers=chambers,
-        gluings=gluings,
-        truncated=_cyl_truncation_rays(records, Q),
-        singularities=[],
-    )
+    records = [g for T, triangle in deg.items() for g in records_for(T, triangle)]
+    # in chamber order, which is the order of `prims`
+    truncated = [BoundarySegment(line, ("line",), lo, hi)
+                 for line, _, ms in classes.values() if ms
+                 for lo, hi in ((None, num(min(ms))), (num(max(ms) + 1), None))]
+    atlas = Atlas(kind="negative", character=chi, bound=bound, chambers=chambers,
+                  gluings=_with_reverses(records), truncated=truncated, singularities=[])
     _collect_stars(atlas)
     return atlas
 
 
-def _cyl_truncation_rays(records, Q):
-    glued = {}
-    for g in records:
-        seg = g.seg_b
-        if isinstance(seg.chamber, (CylChamber,)) and seg.part == ("line",):
-            lo = seg.lo.a
-            glued.setdefault(seg.chamber, set()).add(lo)
-    rays = []
-    for chamber, ms in sorted(glued.items(), key=lambda kv: _chamber_key(kv[0])):
-        lo, hi = min(ms), max(ms) + 1
-        rays.append(BoundarySegment(chamber, ("line",), None, Q.element(lo)))
-        rays.append(BoundarySegment(chamber, ("line",), Q.element(hi), None))
-    return rays
-
+# the rational corner coordinates 0 and 1 of every triangle side, and their keys
+_ZERO, _ONE = GroundField.rational().zero(), GroundField.rational().one()
+_KEY0, _KEY1 = _fe_key(_ZERO), _fe_key(_ONE)
 
 # the corners of the chart triangle {0, a1, -a2}: each one's label, its two
-# boundary germs (part, coordinate, direction), and the sides i < j it joins
+# boundary germs (part, coordinate, coordinate key, direction), and the
+# sides i < j it joins
 _TRIANGLE_CORNERS = (
-    ("v0", (("side", 1), 0, +1), (("side", 2), 1, -1), 0, 1),
-    ("v1", (("side", 1), 1, -1), (("side", 3), 0, +1), 0, 2),
-    ("v2", (("side", 2), 0, +1), (("side", 3), 1, -1), 1, 2),
+    ("v0", (("side", 1), _ZERO, _KEY0, +1), (("side", 2), _ONE, _KEY1, -1), 0, 1),
+    ("v1", (("side", 1), _ONE, _KEY1, -1), (("side", 3), _ZERO, _KEY0, +1), 0, 2),
+    ("v2", (("side", 2), _ZERO, _KEY0, +1), (("side", 3), _ONE, _KEY1, -1), 1, 2),
 )
 
 
+def _lattice_parts(chi: PeriodCharacter):
+    """``(value, d)`` with ``chi(u) = (x + y w)/d`` for ``(x, y) = value(u)``:
+    one denominator ``d`` for every lattice element ``u``."""
+    (p1, q1, d1), (p2, q2, d2) = chi.g1.normal_form(), chi.g2.normal_form()
+    p1, q1, p2, q2 = p1 * d2, q1 * d2, p2 * d1, q2 * d1
+    return (lambda u: (u.m * p1 + u.n * p2, u.m * q1 + u.n * q2)), d1 * d2
+
+
 def _triangle_corners(chi: PeriodCharacter, chamber: DegChamber) -> dict:
-    """Each boundary germ (part, coordinate, direction) at a corner of the
-    chamber's chart triangle, mapped to the corner's other germ and sector.
+    """Each germ key (part, normal form, direction) at a corner of the chamber's
+    chart triangle, mapped to the corner's other germ, that germ's key and the sector.
 
     The edge periods at the corner of sides i < j are χ(a_i) and -χ(a_j),
     so its Im-positive ratio is -χ(a_j)/χ(a_i) when det(a_i, a_j)·Vol < 0,
-    and -χ(a_i)/χ(a_j) when it is positive; both signs are read on integers.
+    and -χ(a_i)/χ(a_j) when it is positive.  With χ(a) = (x + y i)/d over
+    one d, -χ(a_j)/χ(a_i) = -(x_j + y_j i)(x_i - y_i i)/(x_i² + y_i²): one
+    reduction of integers per corner.
     """
     a = chamber.triple.elements()
-    x = [chi.lattice_value(e) for e in a]
-    vol = (chi.g1.conjugate() * chi.g2).q  # Im over d > 0: triangles are on the Gaussian leaf
-    Q = GroundField.rational()
+    value, _ = _lattice_parts(chi)
+    x = [value(e) for e in a]
+    # Vol = Im(conj(g1) g2), scaled by the positive d1 d2: triangles are on the Gaussian leaf
+    (p1, q1, _), (p2, q2, _) = chi.g1.normal_form(), chi.g2.normal_form()
+    vol = p1 * q2 - q1 * p2
+    F = chi.field
     corners = {}
     for label, h1, h2, i, j in _TRIANGLE_CORNERS:
         turn = a[i].det(a[j]) * vol
         if turn == 0:
             raise NonIntegralStar("degenerate corner: directions are collinear")
-        ratio = -(x[j] / x[i]) if turn < 0 else -(x[i] / x[j])
+        if turn > 0:
+            i, j = j, i
+        (xi, yi), (xj, yj) = x[i], x[j]
+        ratio = FieldElement._reduce(F, -xj * xi - yj * yi, xj * yi - yj * xi, xi * xi + yi * yi)
         sector = Sector(chamber, ("corner", label), ratio=ratio)
-        corners[h1] = (chamber, h2[0], Q.element(h2[1]), h2[2]), sector
-        corners[h2] = (chamber, h1[0], Q.element(h1[1]), h1[2]), sector
+        (part1, v1, k1, d1), (part2, v2, k2, d2) = h1, h2
+        corners[part1, k1, d1] = (chamber, part2, v2, d2), (chamber, part2, k2, d2), sector
+        corners[part2, k2, d2] = (chamber, part1, v1, d1), (chamber, part1, k1, d1), sector
     return corners
 
 
@@ -841,16 +849,8 @@ def build_nonarith(theta, bound: int) -> Atlas:
     chambers = sorted(cyl.values(), key=_chamber_key)
 
     records = [g for T in triples for g in _collapsed_records(chi, T, cyl)]
-    gluings = _with_reverses(records)
-    atlas = Atlas(
-        kind="nonarith_real",
-        character=chi,
-        bound=bound,
-        chambers=chambers,
-        gluings=gluings,
-        truncated=[],
-        singularities=[],
-    )
+    atlas = Atlas(kind="nonarith_real", character=chi, bound=bound, chambers=chambers,
+                  gluings=_with_reverses(records), truncated=[], singularities=[])
     _collect_stars(atlas)
     return atlas
 
@@ -858,40 +858,36 @@ def build_nonarith(theta, bound: int) -> Atlas:
 def _collapsed_records(chi: PeriodCharacter, T: CharacteristicTriple, cyl: dict):
     """The two limit gluings of one collapsed triangle, in value coordinates.
 
-    ``cyl`` maps each side's period to its cylinder chamber.
+    ``cyl`` maps each side's period to its cylinder chamber.  The flattened
+    chart triangle has the vertices 0, χ(a1) and -χ(a2) on the real line,
+    and side j the length |χ(a_j)|.  The periods sum to 0, so the long side
+    is the one whose period has the sign the other two lack, and each short
+    side glues to it.  In its own cylinder's coordinate side j runs from
+    χ(a_{j+1}) to -χ(a_{j+2}) (indices mod 3), upward when χ(a_j) > 0; the
+    long side's cylinder reads it shifted by φ_long - φ_j, for the chart
+    offsets φ = (χ(a2), -χ(a1), 0).  All of it is read on the integers
+    (x, y) of χ(a) = (x + y·sqrt(D))/d, over one d.
     """
-    a1, a2, a3 = T.elements()
-    p = chi.lattice_value(a1)
-    q = -chi.lattice_value(a2)
-    zero = chi.field.zero()
-    # chart vertices of the flattened triangle on the real line
-    verts = [(zero, "0"), (p, "p"), (q, "q")]
-    verts.sort(key=lambda vw: vw[0])
-    middle = verts[1][1]
-    # side j connects chart points: 1: {0, p}; 2: {q, 0}; 3: {p, q}
-    long_side = {"0": 3, "p": 2, "q": 1}[middle]
-    shorts = [j for j in (1, 2, 3) if j != long_side]
-    # chart -> boundary-coordinate offsets phi_j
-    phi = {1: chi.lattice_value(a2), 2: -chi.lattice_value(a1), 3: zero}
-    ends = {
-        1: (zero, p),
-        2: (q, zero),
-        3: (p, q),
-    }
-    by_side = {1: a1, 2: a2, 3: a3}
+    value, d = _lattice_parts(chi)
+    F, sign = chi.field, chi.g1._real_sign
+    a = T.elements()
+    x = [value(e) for e in a]
+    s = [sign(*xy) for xy in x]
+    long = 2 if s[0] == s[1] else 0 if s[1] == s[2] else 1
+    phi = (x[1], (-x[0][0], -x[0][1]), (0, 0))
+
+    def fe(p, q):
+        return FieldElement._reduce(F, p, q, d)
+
     recs = []
-    for j in shorts:
-        lo, hi = ends[j]
-        if (hi - lo).sign() < 0:
-            lo, hi = hi, lo
-        seg_a = BoundarySegment(cyl[by_side[j]], ("line",), lo + phi[j], hi + phi[j])
-        seg_b = BoundarySegment(
-            cyl[by_side[long_side]],
-            ("line",),
-            lo + phi[long_side],
-            hi + phi[long_side],
-        )
-        recs.append(Gluing(seg_a, seg_b, +1, phi[long_side] - phi[j]))
+    for j in (j for j in (0, 1, 2) if j != long):
+        (p1, q1), (p2, q2) = x[(j + 1) % 3], x[(j + 2) % 3]
+        lo, hi = ((p1, q1), (-p2, -q2)) if s[j] > 0 else ((-p2, -q2), (p1, q1))
+        cp, cq = phi[long][0] - phi[j][0], phi[long][1] - phi[j][1]
+        seg_a = BoundarySegment(cyl[a[j]], ("line",), fe(*lo), fe(*hi))
+        seg_b = BoundarySegment(cyl[a[long]], ("line",), fe(lo[0] + cp, lo[1] + cq),
+                                fe(hi[0] + cp, hi[1] + cq))
+        recs.append(Gluing(seg_a, seg_b, +1, fe(cp, cq)))
     return recs
 
 
@@ -911,44 +907,43 @@ class _Unglued(IsoleafError):
         return text.format(germ)
 
 
-def _cross(atlas: Atlas, germ, key=None):
-    """The germ across the gluing at ``germ``; ``key`` is its `_germ_key` if known."""
-    chamber, part, v, direction = germ
-    g = atlas._germ_index.get(key or _germ_key(germ))
+def _cross(atlas: Atlas, germ):
+    """The germ across the gluing at ``germ``, as a step of `_walk` finds it."""
+    g = atlas._germ_index.get(_germ_key(germ))
     if g is None:
         raise _Unglued("no gluing at {}", germ)
-    return (g.seg_b.chamber, g.seg_b.part, g.map_coord(v), g.sigma * direction)
+    return (g.seg_b.chamber, g.seg_b.part, g.map_coord(germ[2]), g.sigma * germ[3])
 
 
-def _other_germ(atlas: Atlas, germ, memo: dict):
-    """The second boundary germ at this chamber corner, plus the sector.
+def _other_germ(atlas: Atlas, germ, memo: dict, key=None):
+    """The second boundary germ at this chamber corner, its key, and the sector.
 
-    ``memo`` keeps a walk's corner data: each triangle's corners by chamber
-    (`_triangle_corners`), each cylinder vertex by its coordinate key.
+    ``key`` is the germ's `_germ_key` if known.  ``memo`` keeps a walk's
+    corner data: each triangle's corners (at 0 and 1 only) by chamber, see
+    `_triangle_corners`, and each cylinder vertex by its coordinate key.
     """
     chamber, part, v, direction = germ
-    if isinstance(chamber, TorusChamber):
-        _, gamma, side = part
-        other_side = "R" if side == "L" else "L"
-        sector = Sector(chamber, ("tip", (gamma.m, gamma.n)), half_turns=2)
-        return (chamber, ("slit", gamma, other_side), v, +1), sector
+    nf = _fe_key(v) if key is None else key[2]
     if isinstance(chamber, (CylChamber, CylArithChamber)):
         # the vertex reaches singularity ids: keep it as the pair (a, b)
-        key = _fe_key(v)
-        vertex = memo.get(key)
+        vertex = memo.get(nf)
         if vertex is None:
-            vertex = memo[key] = ("t", (v.a, v.b))
-        return (chamber, part, v, -direction), Sector(chamber, vertex, half_turns=1)
+            vertex = memo[nf] = ("t", (v.a, v.b))
+        return ((chamber, part, v, -direction), (chamber, part, nf, -direction),
+                Sector(chamber, vertex, half_turns=1))
     if isinstance(chamber, DegChamber):
-        p, _, d = _fe_key(v)
-        n = p // d if p >= 0 else -(-p // d)  # int(v.a), toward zero
         corners = memo.get(chamber)
         if corners is None:
             corners = memo[chamber] = _triangle_corners(atlas.character, chamber)
-        out = corners.get((part, n, direction))
+        out = corners.get((part, nf, direction))
         if out is None:
             raise NotAVertex(f"{germ} is not a corner germ of {chamber}")
         return out
+    if isinstance(chamber, TorusChamber):
+        _, gamma, side = part
+        part = ("slit", gamma, "R" if side == "L" else "L")
+        sector = Sector(chamber, ("tip", (gamma.m, gamma.n)), half_turns=2)
+        return (chamber, part, v, +1), (chamber, part, nf, +1), sector
     raise NotAVertex(f"unsupported chamber {chamber!r}")
 
 
@@ -957,36 +952,42 @@ def _germ_key(germ):
     return (chamber, part, _fe_key(v), direction)
 
 
-def _walk(atlas: Atlas, start, open_: dict, memo: dict, max_steps=64):
+def _walk(atlas: Atlas, start, open_: dict, memo: dict, max_steps=64, start_key=None):
     """Sectors and germ keys (incoming and outgoing) of the star walk from ``start``.
 
-    Raises `_Unglued` when the walk runs into a boundary without a gluing.
-    ``open_`` maps the key of each incoming germ of such a walk to the
-    number of steps its own walk takes to fail; the walk is a function of
-    its germ, so a walk that reaches one of these stops there, and every
-    walk that fails records its incoming germs in ``open_``.  ``memo`` is
-    passed on to `_other_germ`.
+    Each germ is keyed once (``start_key`` is the start's, if known), and the
+    walk closes at the next germ whose key is the start's.  Raises `_Unglued`
+    when the walk runs into a boundary without a gluing.  ``open_`` maps the
+    key of each incoming germ of such a walk to the number of steps its own
+    walk takes to fail; the walk is a function of its germ, so a walk that
+    reaches one of these stops there, and every walk that fails records its
+    incoming germs in ``open_``.  ``memo`` is passed on to `_other_germ`.
     """
+    index = atlas._germ_index
+    if start_key is None:
+        start_key = _germ_key(start)
     sectors, keys = [], []
-    g_in = start
+    germ, key = start, start_key
     for step in range(max_steps):
-        key = _germ_key(g_in)
         left = open_.get(key)
         if left is not None:
             # the walk from here fails after `left` more steps
             _mark_open(open_, keys, step + left, max_steps, start)
-            raise _Unglued("{} leads to an unglued boundary", g_in)
-        g_out, sector = _other_germ(atlas, g_in, memo)
+            raise _Unglued("{} leads to an unglued boundary", germ)
+        g_out, key_out, sector = _other_germ(atlas, germ, memo, key)
         sectors.append(sector)
-        key_out = _germ_key(g_out)
         keys += (key, key_out)
-        try:
-            g_in = _cross(atlas, g_out, key_out)
-        except _Unglued:
+        g = index.get(key_out)
+        if g is None:
             _mark_open(open_, keys, step + 1, max_steps, start)
-            raise
-        if g_in == start:
+            raise _Unglued("no gluing at {}", g_out)
+        seg = g.seg_b
+        v = g.map_coord(g_out[2])
+        direction = g.sigma * g_out[3]
+        key = (seg.chamber, seg.part, _fe_key(v), direction)
+        if key[2] == start_key[2] and key == start_key:
             return sectors, keys
+        germ = (seg.chamber, seg.part, v, direction)
     raise NonIntegralStar(f"star walk from {start} did not close")
 
 
@@ -1052,48 +1053,56 @@ def _star_ident(atlas: Atlas, sectors) -> tuple:
 def _collect_stars(atlas: Atlas) -> None:
     """Enumerate complete singular stars, walking each germ at most once.
 
-    Walks start in gluing order at every germ not yet seen: a germ of a
+    Walks start at the keys of the germ index, in gluing order, at every
+    germ not yet seen.  One table holds the germs of closed stars (as None)
+    and of failed walks (as the steps to fail, see `_walk`): a germ of a
     closed star is skipped in either orientation, and a germ known to lead
     to an unglued boundary is never walked again.
     """
-    visited = set()
-    open_ = {}
-    memo = {}
-    stars = {}
-    for g in atlas.gluings:
-        seg = g.seg_a
-        for v, direction in ((seg.lo, +1), (seg.hi, -1)):
-            if v is None:
+    with stats.span("stars"):
+        seen, memo, stars = {}, {}, {}
+        walks = opened = 0
+        for key, g in atlas._germ_index.items():
+            if key in seen:
                 continue
-            germ = (seg.chamber, seg.part, v, direction)
-            key = _germ_key(germ)
-            if key in visited or key in open_:
-                continue
+            chamber, part, _, direction = key
+            v = g.seg_a.lo if direction > 0 else g.seg_a.hi
+            walks += 1
             try:
-                sectors, keys = _walk(atlas, germ, open_, memo)
-            except (_Unglued, NotAVertex):
+                sectors, keys = _walk(atlas, (chamber, part, v, direction), seen, memo,
+                                      start_key=key)
+            except _Unglued:
+                opened += 1
                 continue
-            visited.update(keys)
-            if _at_center(atlas, seg.chamber, v):
+            except NotAVertex:
+                continue
+            seen.update(dict.fromkeys(keys))
+            if _at_center(atlas, chamber, v):
                 if atlas.center is None:
                     atlas.center = _star(atlas, sectors, ("center",), "pinched_torus")
                 continue
             star = _star(atlas, sectors)
             stars[star.ident] = star
-    atlas.singularities = [stars[k] for k in sorted(stars)]
+        atlas.singularities = [stars[k] for k in sorted(stars)]
+    stats.count("star_walks", walks)
+    stats.count("open_walks", opened)
 
 
 def singularity_star(atlas: Atlas, point) -> Singularity:
     """The singular star at a segmentation vertex.
 
     ``point`` is ``(chamber, coordinate)`` (for the torus chamber of a
-    positive leaf, ``(chamber, (gamma, coordinate))`` names a slit tip).
-    The arithmetic center returns its 2-pi pinched-torus record.
+    positive leaf, ``(chamber, (gamma, coordinate))`` names a slit tip; for a
+    triangle chamber, ``(chamber, (part, s))`` the corner at s = 0 or 1 of a
+    side).  The arithmetic center returns its 2-pi pinched-torus record.
 
     Raises
     ------
     NotAVertex
-        If the coordinate is not a segmentation vertex of the chamber.
+        If the coordinate is not a segmentation vertex of the chamber: the
+        walk meets a boundary without a gluing, or ``s`` is not 0 or 1.
+    NonIntegralStar
+        If the walk does not close within its step limit.
     """
     chamber, coord = point
     if isinstance(chamber, TorusChamber):
@@ -1101,7 +1110,8 @@ def singularity_star(atlas: Atlas, point) -> Singularity:
         germ = (chamber, ("slit", gamma, "L"), _to_fe(atlas, t), +1)
     elif isinstance(chamber, DegChamber):
         part, s = coord
-        germ = (chamber, part, _to_fe(atlas, s), +1 if s == 0 else -1)
+        s = _to_fe(atlas, s)
+        germ = (chamber, part, s, +1 if s.is_zero() else -1)
     else:
         v = _to_fe(atlas, coord)
         germ = (chamber, ("line",), v, +1)

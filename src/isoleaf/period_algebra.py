@@ -778,6 +778,12 @@ def pm_representative(u: LatticeElement) -> LatticeElement:
 def symplectic_partner(u: LatticeElement) -> LatticeElement:
     """A canonical ``v`` with ``det(u, v) = 1``, of minimal Euclidean norm.
 
+    Every such ``v`` is ``v0 + k u`` for one solution ``v0``.  The norm is
+    least at the projection ``t = -(v0 . u)/|u|^2``; its half-up rounding
+    ``floor(t + 1/2)`` is the integer ``(|u|^2 - 2 v0 . u) // (2 |u|^2)``.
+    The neighbours ``k - 1`` and ``k + 1`` are compared too, and ties of
+    norm go to the lexicographically least ``v``.
+
     Raises
     ------
     ZeroElement
@@ -792,20 +798,14 @@ def symplectic_partner(u: LatticeElement) -> LatticeElement:
     if g != 1:
         raise ValueError(f"{u!r} is imprimitive and has no symplectic partner")
     # x0*m + y0*n == 1, so v0 = (-y0, x0) gives det(u, v0) == 1
-    v0 = LatticeElement(-y0, x0)
-    # minimize |v0 + k u| over integers k (projection, rounded half-up)
-    t = Fraction(-(v0.m * m + v0.n * n), m * m + n * n)
-    k = (t + Fraction(1, 2)).numerator // (t + Fraction(1, 2)).denominator
-    best = LatticeElement(v0.m + k * m, v0.n + k * n)
-    for kk in (k - 1, k + 1):
-        cand = LatticeElement(v0.m + kk * m, v0.n + kk * n)
-        if (cand.m**2 + cand.n**2, cand.m, cand.n) < (
-            best.m**2 + best.n**2,
-            best.m,
-            best.n,
-        ):
-            best = cand
-    return best
+    vm, vn = -y0, x0
+    uu = m * m + n * n
+    k = (uu - 2 * (vm * m + vn * n)) // (2 * uu)
+    _, bm, bn = min(
+        ((vm + j * m) ** 2 + (vn + j * n) ** 2, vm + j * m, vn + j * n)
+        for j in (k - 1, k, k + 1)
+    )
+    return LatticeElement(bm, bn)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact-arithmetic core: fields, characters, classification, triples."""
 
+import random
 import time
 from fractions import Fraction
 from math import gcd, floor
@@ -294,6 +295,37 @@ class TestLatticeElement:
             v = symplectic_partner(LatticeElement(m, n))
             assert (v.m, v.n) == inline_symplectic_partner(m, n), (m, n)
             assert _basis_change_to_one_zero(m, n) == inline_basis_change_to_one_zero(m, n), (m, n)
+
+    def test_integer_rounding_matches_inline_partner_at_ties(self):
+        # t + 1/2 is an integer for t = -(v0 . u)/|u|^2: the half-up rounding
+        # decides between two partners, and the integer floor must agree.
+        # (v0 . u)^2 + 1 = |u|^2 |v0|^2, so |u|^2 divides 2 (v0 . u) only when
+        # it divides 4: the ties are the four classes (+-1, +-1)
+        ties = []
+        for m in range(-60, 61):
+            for n in range(-60, 61):
+                if gcd(m, n) != 1:
+                    continue
+                _, x0, y0 = _ext_gcd(m, n)
+                uu = m * m + n * n
+                if -2 * (-y0 * m + x0 * n) % (2 * uu) == uu:
+                    ties.append((m, n))
+        assert sorted(ties) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        for m, n in ties:
+            v = symplectic_partner(LatticeElement(m, n))
+            assert (v.m, v.n) == inline_symplectic_partner(m, n), (m, n)
+
+    def test_integer_rounding_matches_inline_partner_on_large_pairs(self):
+        rng = random.Random(20231)
+        checked = 0
+        while checked < 2000:
+            m, n = (rng.randint(-10**15, 10**15) for _ in range(2))
+            if gcd(m, n) != 1:
+                continue
+            v = symplectic_partner(LatticeElement(m, n))
+            assert (v.m, v.n) == inline_symplectic_partner(m, n), (m, n)
+            assert m * v.n - n * v.m == 1
+            checked += 1
 
     def test_basis_change_rejects_imprimitive_pairs(self):
         for p, q in ((0, 0), (2, 4), (-3, 0)):

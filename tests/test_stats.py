@@ -117,3 +117,26 @@ def test_helpers_do_nothing_when_off():
     with stats.span("x"):  # off again after the block
         stats.count("y")
     assert rec["counts"] == {"y": 4}
+
+
+@pytest.mark.parametrize("kind", [["--kind", "negative", "--bound", "3"],
+                                  ["--kind", "positive", "--bound", "2"]])
+def test_star_walk_span_and_counts(kind, tmp_path, capsys, monkeypatch):
+    # the builder and the loader both walk the stars: one span, two counts
+    monkeypatch.delenv("ISOLEAF_STATS", raising=False)
+    out = tmp_path / "a.json"
+    argv = ["atlas", "build", *kind, "--out", str(out)]
+    assert cli.run(argv) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "run.json"
+    assert cli.run(["--stats", str(path), *argv]) == 0
+    assert capsys.readouterr().out == plain
+    built = json.loads(path.read_text())
+    assert cli.run(["--stats", str(path), "atlas", "check", str(out)]) == 0
+    checked = json.loads(path.read_text())
+    for rec in (built, checked):
+        assert 0.0 <= rec["spans"]["stars"] <= rec["spans"]["total"]
+        counts = rec["counts"]
+        assert counts["star_walks"] == counts["stars"] + counts["open_walks"]
+    assert built["spans"]["stars"] <= built["spans"]["build"]
+    assert checked["spans"]["stars"] <= checked["spans"]["load"]
