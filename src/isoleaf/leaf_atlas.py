@@ -480,16 +480,8 @@ def build_positive(bound: int) -> Atlas:
         ]
 
     records = [g for gamma in prims for g in records_for(gamma)]
-    gluings = _with_reverses(records)
-    atlas = Atlas(
-        kind="positive",
-        character=chi,
-        bound=bound,
-        chambers=chambers,
-        gluings=gluings,
-        truncated=[],
-        singularities=[],
-    )
+    atlas = Atlas(kind="positive", character=chi, bound=bound, chambers=chambers,
+                  gluings=_with_reverses(records), truncated=[], singularities=[])
     _positive_stars(atlas)
     return atlas
 
@@ -728,15 +720,8 @@ def build_arithmetic(kmax: int) -> Atlas:
     records = plus + [_iota_image(g, chamber) for g in plus]
     gluings = _with_reverses(records)
 
-    atlas = Atlas(
-        kind="arith_real",
-        character=chi,
-        bound=kmax,
-        chambers=chambers,
-        gluings=gluings,
-        truncated=_arith_truncation_rays(gluings),
-        singularities=[],
-    )
+    atlas = Atlas(kind="arith_real", character=chi, bound=kmax, chambers=chambers,
+                  gluings=gluings, truncated=_arith_truncation_rays(gluings), singularities=[])
     _collect_stars(atlas)
     return atlas
 
@@ -1819,15 +1804,8 @@ def atlas_from_json_dict(data: dict) -> Atlas:
         raise IsoleafError(f"malformed atlas: {exc}") from None
     if bound < 1:
         raise WrongLeafKind(_TOO_SMALL[kind])
-    atlas = Atlas(
-        kind=kind,
-        character=chi,
-        bound=bound,
-        chambers=chambers,
-        gluings=gluings,
-        truncated=truncated,
-        singularities=[],
-    )
+    atlas = Atlas(kind=kind, character=chi, bound=bound, chambers=chambers,
+                  gluings=gluings, truncated=truncated, singularities=[])
     if kind == "positive":
         _positive_stars(atlas)
     else:
