@@ -6,7 +6,7 @@ The package is organized around one pipeline:
   and real quadratic fields; classification and normal forms of leaves;
 * :mod:`isoleaf.surface_kernel` -- the translation surfaces that make up a
   leaf (cylinders over tori, slit tori, hexagonal chambers, degenerate
-  slit normal forms) with exact membership and cone-angle bookkeeping;
+  slit normal forms) with exact membership and the affine wall forms;
 * :mod:`isoleaf.leaf_atlas` -- combinatorial atlases: chambers, wall
   gluings, singular completion points, connectivity certificates, and a
   canonical JSON form;

@@ -43,16 +43,11 @@ from isoleaf.period_algebra import (
     pm_representative,
     symplectic_partner,
 )
-from isoleaf.surface_kernel import (
-    SlitDegenerateSurface,
-    cylinder_boundary_form,
-    cylinder_boundary_surface,
-)
+from isoleaf.surface_kernel import cylinder_boundary_form
 
 __all__ = [
     "BadSegment",
     "NotAVertex",
-    "NotInterior",
     "NonIntegralStar",
     "RationalTheta",
     "NonQuadraticTheta",
@@ -70,16 +65,12 @@ __all__ = [
     "build_negative",
     "build_arithmetic",
     "build_nonarith",
-    "glue_target",
     "singularity_star",
     "connectivity_check",
-    "arithmetic_reachability",
-    "wall_surface_match",
     "wall_tree",
     "WallTree",
     "WallTreeNode",
     "check_atlas",
-    "adjacency_graph",
     "atlas_to_json_dict",
     "atlas_from_json_dict",
     "primitive_elements",
@@ -92,10 +83,6 @@ class BadSegment(IsoleafError):
 
 class NotAVertex(IsoleafError):
     """Raised when a point is not a segmentation vertex of the chamber boundary."""
-
-
-class NotInterior(IsoleafError):
-    """Raised when a sample point sits on a segment endpoint instead of inside."""
 
 
 class RationalTheta(IsoleafError):
@@ -631,7 +618,7 @@ def _admissible_pairs(kmax: int):
     ]
 
 
-def _plus_records(k: int, l: int, kmax: int, Q: GroundField, chamber=CylArithChamber):
+def _plus_records(k: int, l: int, kmax: int, Q: GroundField, chamber):
     """Wall records with source CC^+_{k,l}, targets within kmax.
 
     The four families (with w the source coordinate, all orientation
@@ -740,40 +727,6 @@ def _arith_truncation_rays(gluings):
         rays.append(BoundarySegment(chamber, ("line",), None, lo))
         rays.append(BoundarySegment(chamber, ("line",), hi, None))
     return rays
-
-
-def glue_target(k: int, l: int, sign: int, segment: tuple):
-    """The wall record of one canonical boundary segment of CC^sign_{k,l}.
-
-    ``segment`` is the exact endpoint pair ``(lo, hi)``.  Returns
-    ``(k', l', sign', (lo', hi'), (sigma, c))``.
-
-    Raises
-    ------
-    BadSegment
-        If the interval is not a canonical segment of the chamber.
-    """
-    CylArithChamber(k, l, sign)  # validates the indices
-    lo, hi = (Fraction(x) for x in segment)
-    if sign == -1:
-        k2, l2, s2, (lo2, hi2), (sigma, c) = glue_target(k, l, +1, (-hi, -lo))
-        return (k2, l2, -s2, (-hi2, -lo2), (sigma, -c))
-    if not _is_canonical(k, l, lo, hi):
-        raise BadSegment(f"({lo}, {hi}) is not a canonical segment of CC+_{k},{l}")
-    Q = GroundField.rational()
-    big = max(abs(lo), abs(hi))
-    kmax_needed = int(big) + 2 * k + 2
-    for g in _plus_records(k, l, kmax_needed, Q):
-        if g.seg_a.lo.a == lo and g.seg_a.hi.a == hi:
-            ch = g.seg_b.chamber
-            return (
-                ch.k,
-                ch.l,
-                ch.sign,
-                (g.seg_b.lo.a, g.seg_b.hi.a),
-                (g.sigma, g.c.a),
-            )
-    raise BadSegment(f"({lo}, {hi}) is not a canonical segment of CC+_{k},{l}")
 
 
 def _is_canonical(k: int, l: int, lo, hi) -> bool:
@@ -890,14 +843,6 @@ class _Unglued(IsoleafError):
     def __str__(self):
         text, germ = self.args
         return text.format(germ)
-
-
-def _cross(atlas: Atlas, germ):
-    """The germ across the gluing at ``germ``, as a step of `_walk` finds it."""
-    g = atlas._germ_index.get(_germ_key(germ))
-    if g is None:
-        raise _Unglued("no gluing at {}", germ)
-    return (g.seg_b.chamber, g.seg_b.part, g.map_coord(germ[2]), g.sigma * germ[3])
 
 
 def _other_germ(atlas: Atlas, germ, memo: dict, key=None):
@@ -1178,64 +1123,6 @@ def connectivity_check(atlas: Atlas):
         frontier = nxt
     connected = len(tree) + 1 == len(chambers) == listed == len(atlas.chambers)
     return connected, tree
-
-
-def adjacency_graph(atlas: Atlas):
-    """Nodes and unordered adjacency pairs of the chamber graph."""
-    edges = {frozenset((g.seg_a.chamber, g.seg_b.chamber)) for g in atlas.gluings}
-    return set(atlas.chambers), {e for e in edges if len(e) == 2}
-
-
-def arithmetic_reachability(kmax: int):
-    """Constructive descent from every admissible (k, l) to (1, 0).
-
-    Each step replaces (K, L) by (L, -K mod L), which is linked to it by
-    a family-2 wall record; the certificate lists the chain and the
-    record parameters, and every link is re-verified through
-    `glue_target`.
-    """
-    chains = {}
-    for K, L in _admissible_pairs(kmax):
-        chain = [(K, L)]
-        k, l = K, L
-        while (k, l) != (1, 0):
-            k0, l0 = l, (-k) % l
-            n = (k + l0) // l - 1
-            lo = Fraction(-(n + 1) * k0 + l0)
-            hi = Fraction(-n * k0 + l0)
-            got = glue_target(k0, l0, +1, (lo, hi))
-            assert got[0] == k and got[1] == l and got[2] == -1, (K, L, got)
-            chain.append((k0, l0))
-            k, l = k0, l0
-        chains[(K, L)] = chain
-    return chains
-
-
-def wall_surface_match(atlas: Atlas, gluing: Gluing, t) -> bool:
-    """Do the two chambers of a wall record degenerate to the same surface?
-
-    Evaluates the boundary surface of both sides at matched coordinates
-    (``t`` on the source, its gluing image on the target): the marked
-    slit normal forms must be equal.
-
-    Raises
-    ------
-    NotInterior
-        If ``t`` is an endpoint of the glued segment.
-    """
-    t = _to_fe(atlas, t)
-    seg = gluing.seg_a
-    if (seg.lo is not None and (t - seg.lo).sign() <= 0) or (
-        seg.hi is not None and (seg.hi - t).sign() <= 0
-    ):
-        raise NotInterior(f"{t} is not interior to {seg}")
-    a, b = seg.chamber, gluing.seg_b.chamber
-    t2 = gluing.map_coord(t)
-    sa = cylinder_boundary_surface(a.k, a.l, a.sign, t)
-    sb = cylinder_boundary_surface(b.k, b.l, b.sign, t2)
-    if not isinstance(sa, SlitDegenerateSurface) or not isinstance(sb, SlitDegenerateSurface):
-        return False
-    return sa == sb
 
 
 # ---------------------------------------------------------------------------

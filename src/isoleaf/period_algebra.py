@@ -47,7 +47,6 @@ __all__ = [
     "TrivialCharacter",
     "ZeroElement",
     "WrongLeafKind",
-    "NotSymplectic",
     "FieldMismatch",
     "GroundField",
     "FieldElement",
@@ -61,7 +60,6 @@ __all__ = [
     "is_primitive",
     "enumerate_triples",
     "coordinate_triples",
-    "change_basis",
     "normalize",
     "mat2_det",
     "mat2_mul",
@@ -96,10 +94,6 @@ class ZeroElement(IsoleafError):
 
 class WrongLeafKind(IsoleafError):
     """Raised when an operation is applied to a character of the wrong kind."""
-
-
-class NotSymplectic(IsoleafError):
-    """Raised for basis changes whose matrix does not have determinant one."""
 
 
 class FieldMismatch(IsoleafError):
@@ -311,11 +305,6 @@ class GroundField:
         return F
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def symbol_square(self) -> int | None:
-        """Square of the adjoined symbol: -1, D, or None for Q."""
-        return self._w2 or None
 
     @property
     def is_real(self) -> bool:
@@ -552,10 +541,6 @@ class FieldElement:
         if self._field._w2 == -1:
             return FieldElement._reduce(self._field, self._p, -self._q, self._d)
         return self
-
-    def galois_conjugate(self) -> "FieldElement":
-        """The conjugate ``a - b*w`` over Q."""
-        return FieldElement._reduce(self._field, self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """Field norm ``(a + b*w)(a - b*w)`` as a rational number."""
@@ -852,6 +837,7 @@ class LeafKind:
 
     @property
     def is_nonarithmetic(self) -> bool:
+        """Only tests read it; kept as one of the four ``is_*`` flags of the kinds."""
         return self.kind == self.NONARITH_REAL
 
 
@@ -1007,23 +993,6 @@ def _canonical_generator(a: FieldElement) -> FieldElement:
 
 # ---------------------------------------------------------------------------
 # basis changes and normalization
-
-
-def change_basis(chi: PeriodCharacter, A: Mat2) -> PeriodCharacter:
-    """Apply an integral symplectic basis change ``(g1, g2) -> (g1, g2) A``.
-
-    The new periods are ``(a*g1 + c*g2, b*g1 + d*g2)`` for
-    ``A = ((a, b), (c, d))``.
-
-    Raises
-    ------
-    NotSymplectic
-        If ``det A != 1``.
-    """
-    if mat2_det(A) != 1:
-        raise NotSymplectic(f"matrix {A} has determinant {mat2_det(A)}, not 1")
-    (a, b), (c, d) = A
-    return PeriodCharacter(chi.field, a * chi.g1 + c * chi.g2, b * chi.g1 + d * chi.g2)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Every surface here lives on an elliptic curve: the flat structure is a
 plane (or torus) with polygonal data removed and re-identified, carrying
 two labeled zeros (``B`` and ``W``, each of cone angle :math:`4\pi`) and
 one double pole.  The interior of the core — the convex hull of the
-zeros — is a torus, an open cylinder, or empty, and this trichotomy is
-the :class:`CoreType` of the surface.
+zeros — is a torus, an open cylinder, or empty.  The library does not
+run this trichotomy; ``CoreType`` and ``core_type`` in
+``tests/paper_model.py`` state it, and the tests hold the shapes below
+to it.
 
 Four concrete shapes appear as chamber parametrizations of isoperiodic
 leaves:
@@ -22,21 +24,20 @@ leaves:
   in reversed order, with a marking bit for which zero sits at the left
   slit tip.
 
-The boundary-degeneration maps (`cylinder_boundary_surface`,
-`hexagon_boundary_surface`) produce the wall surfaces reached at exact
-boundary coordinates, or the completion tags :class:`PinchedTorus` and
-:class:`PointInH2m2` at the degenerate parameter values that leave the
-stratum.  On a cylinder chamber's boundary the slit lengths are affine on
-each open segment; `cylinder_boundary_form` gives them as such, and
-`cylinder_boundary_surface` evaluates that form at its point.
+On a cylinder chamber's boundary the slit lengths are affine on each
+open segment; `cylinder_boundary_form` gives them as such.  Its pointwise
+evaluation, ``cylinder_boundary_surface``, with the completion tag
+``PinchedTorus`` for the center of an arithmetic leaf, is a reference
+oracle in ``tests/paper_model.py``.  `hexagon_boundary_surface` gives the
+wall surface along a side of a hexagon chamber, or the completion tag
+:class:`PointInH2m2` at the parameter values that leave the stratum.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, gcd, pi
+from math import gcd
 
 from isoleaf.period_algebra import (
     FieldElement,
@@ -54,20 +55,14 @@ __all__ = [
     "BadSideIndex",
     "ExactComplex",
     "to_exact_complex",
-    "CoreType",
     "CylinderSurface",
     "TorusSurface",
     "HexagonSurface",
-    "hexagon_from_rotation",
     "SlitDegenerateSurface",
-    "PinchedTorus",
     "PointInH2m2",
     "ParallelogramWall",
     "WallCrossing",
-    "core_type",
-    "volume_constraint_check",
     "cylinder_boundary_form",
-    "cylinder_boundary_surface",
     "hexagon_boundary_surface",
     "cylinder_member_min",
 ]
@@ -82,7 +77,10 @@ class NotOnBoundary(IsoleafError):
 
 
 class BadSideIndex(IsoleafError):
-    """Raised for a hexagon side index outside {1, 2, 3}."""
+    """Raised for a hexagon side index outside {1, 2, 3}.
+
+    Only `hexagon_boundary_surface` raises it; it stays with that function.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +167,6 @@ def to_exact_complex(period: FieldElement) -> ExactComplex:
 def _im_conj_mult(u: ExactComplex, z: ExactComplex) -> FieldElement:
     """Exact ``Im(conj(u) * z)`` — twice the signed area of (u, z)."""
     return u.re * z.im - u.im * z.re
-
-
-# ---------------------------------------------------------------------------
-# core trichotomy
-
-
-class CoreType(enum.Enum):
-    """Shape of the interior of the core (convex hull of the zeros)."""
-
-    TorusType = "torus"
-    CylinderType = "cylinder"
-    DegenerateType = "degenerate"
 
 
 # ---------------------------------------------------------------------------
@@ -338,64 +324,6 @@ class HexagonSurface:
             "W3": z2,
         }
 
-    def edge_identifications(self):
-        """The three gluing translations (edge pair, translation vector)."""
-        u1, u2, u3 = self._values()
-        return [
-            (("B1W1", "B3W2"), -u3),
-            (("B2W2", "B1W3"), -u1),
-            (("B3W3", "B2W1"), -u2),
-        ]
-
-    def black_triangle_area(self) -> Fraction:
-        """Exact unsigned area of the triangle of B corners (shoelace)."""
-        c = self.corners()
-        a, b, d = c["B1"], c["B2"], c["B3"]
-        cross = (b - a).re * (d - a).im - (b - a).im * (d - a).re
-        if cross.field.tag != "rational":
-            raise InvalidSurface("hexagon areas are rational only over Q(i) data")
-        val = cross.a
-        return -val / 2 if val < 0 else val / 2
-
-    def surface_corner_angles(self) -> dict[str, float]:
-        """Cone contribution of each corner, measured on the complement side."""
-        c = self.corners()
-        order = ["B1", "W1", "B2", "W2", "B3", "W3"]
-        angles = {}
-        for j, name in enumerate(order):
-            prev = c[order[(j - 1) % 6]]
-            here = c[name]
-            nxt = c[order[(j + 1) % 6]]
-            va = complex(prev - here)
-            vb = complex(nxt - here)
-            interior = atan2((va.conjugate() * vb).imag, (va.conjugate() * vb).real)
-            if interior < 0:
-                interior += 2 * pi
-            angles[name] = 2 * pi - interior
-        return angles
-
-
-def hexagon_from_rotation(
-    chi: PeriodCharacter,
-    rotation: tuple[LatticeElement, LatticeElement, LatticeElement],
-    z: ExactComplex,
-) -> HexagonSurface:
-    """Build a hexagon surface from any cyclic rotation of its triple.
-
-    The chart coordinate is rotation-dependent: anchoring the hexagon at
-    the next slot shifts the chart by the value of the middle element.
-    This converts the given chart value to the canonical rotation's
-    chart and constructs the surface there.
-    """
-    a, b, c = rotation
-    triple = CharacteristicTriple.make(a, b, c)
-    canon = triple.elements()
-    j = canon.index(a)
-    z0 = z
-    for r in range(1, j + 1):
-        z0 = z0 - to_exact_complex(chi.lattice_value(canon[r]))
-    return HexagonSurface(chi, triple, z0)
-
 
 # ---------------------------------------------------------------------------
 # slit degenerate (wall) surfaces
@@ -433,6 +361,7 @@ class SlitDegenerateSurface:
 
     @staticmethod
     def from_rationals(l1, l2, l3, b_at_left: bool = True) -> "SlitDegenerateSurface":
+        """The surface with rational lengths; kept as the class's rational constructor."""
         Q = GroundField.rational()
         return SlitDegenerateSurface(
             Q.element(l1), Q.element(l2), Q.element(l3), b_at_left
@@ -442,10 +371,14 @@ class SlitDegenerateSurface:
         return (self.l1, self.l2, self.l3)
 
     def total_length(self) -> FieldElement:
+        """The slit length ``l1 + l2 + l3``; kept beside `lengths` as part of the normal form."""
         return self.l1 + self.l2 + self.l3
 
     def swap_marking(self) -> "SlitDegenerateSurface":
-        """The same flat surface with the B and W labels exchanged."""
+        """The same flat surface with the B and W labels exchanged.
+
+        Kept as the marking operation that the class docstring names.
+        """
         return SlitDegenerateSurface(self.l1, self.l2, self.l3, not self.b_at_left)
 
 
@@ -454,65 +387,15 @@ class SlitDegenerateSurface:
 
 
 @dataclass(frozen=True)
-class PinchedTorus:
-    """Completion tag: the node at the center of an arithmetic leaf.
-
-    The surface degenerates to a torus pinched along its core curve; the
-    point carries total angle 2*pi and is not a singularity.
-    """
-
-    location: tuple = ()
-
-
-@dataclass(frozen=True)
 class PointInH2m2:
     """Completion tag: the two simple zeros collide into a double zero.
 
     The limiting surface lies in the stratum H(2,-2); the point belongs
     to the metric completion of the leaf, not the leaf itself.
+    `hexagon_boundary_surface` returns it, so it stays with that function.
     """
 
     location: tuple = ()
-
-
-# ---------------------------------------------------------------------------
-# classification operations
-
-
-def core_type(surface) -> CoreType:
-    """The core trichotomy of a valid surface.
-
-    Raises
-    ------
-    InvalidSurface
-        If the value is not one of the recognized surface types (type
-        invariants themselves are enforced at construction).
-    """
-    if isinstance(surface, TorusSurface):
-        return CoreType.TorusType
-    if isinstance(surface, CylinderSurface):
-        return CoreType.CylinderType
-    if isinstance(surface, (HexagonSurface, SlitDegenerateSurface)):
-        return CoreType.DegenerateType
-    raise InvalidSurface(f"not a translation surface of this stratum: {surface!r}")
-
-
-def volume_constraint_check(surface, chi: PeriodCharacter) -> bool:
-    """The volume obstructions for a core shape to occur on a leaf.
-
-    Torus cores require positive volume; hexagon-form degenerate cores
-    require negative volume; slit normal forms require non-positive
-    volume; cylinder cores occur on every leaf.
-    """
-    kind = core_type(surface)
-    vol = chi.volume()
-    if kind is CoreType.TorusType:
-        return vol > 0
-    if kind is CoreType.CylinderType:
-        return True
-    if isinstance(surface, HexagonSurface):
-        return vol < 0
-    return vol <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +433,8 @@ def cylinder_boundary_form(k: int, l: int, sign: int, t):
     those two points and ``|s|``; ``|s|`` comes last for ``s > 0`` and first
     for ``s < 0``.  The minus chamber is the mirror of the plus chamber, so
     its slopes are negated.
+
+    ``leaf_atlas._wall_identity`` calls it on every arithmetic wall check.
     """
     _check_admissible(k, l)
     if sign not in (1, -1):
@@ -570,31 +455,6 @@ def cylinder_boundary_form(k: int, l: int, sign: int, t):
     return form, t.sign() > 0
 
 
-def cylinder_boundary_surface(k: int, l: int, sign: int, t):
-    """The wall surface at coordinate ``t`` on the boundary of CC^sign_{k,l}.
-
-    The boundary line is segmented by the points ``{n k + l} ∪ {0}``; on
-    each open segment the degenerating cylinder yields a slit normal
-    form, with the marking bit ``(t > 0)`` and the lengths of
-    :func:`cylinder_boundary_form` at ``t``; the segmentation points
-    themselves leave the stratum: the center ``t = 0`` of the (1, 0)
-    chambers is the pinched torus, every other segmentation point is a
-    zero collision in H(2,-2).
-
-    The minus chamber is the mirror of the plus chamber: its surface at
-    ``t`` is the plus surface at ``-t`` with the marking swapped.
-    """
-    found = cylinder_boundary_form(k, l, sign, t)
-    t = _as_real_exact(t)
-    if found is None:
-        if t.is_zero() and (k, l) == (1, 0):
-            return PinchedTorus(location=(k, l, sign))
-        return PointInH2m2(location=(k, l, sign, t))
-    form, bit = found
-    l1, l2, l3 = (a + b * t for a, b in form)
-    return SlitDegenerateSurface(l1, l2, l3, b_at_left=bit)
-
-
 # ---------------------------------------------------------------------------
 # boundary degeneration: hexagon chambers of negative leaves
 
@@ -607,6 +467,7 @@ class ParallelogramWall:
     hexagon flattens to a parallelogram whose two marked edge-interior
     points are the remnants of the absorbed corners.  Corner positions
     are absolute in the hexagon's plane.
+    `hexagon_boundary_surface` builds it, so it stays with that function.
     """
 
     side: int
@@ -618,7 +479,10 @@ class ParallelogramWall:
 
 @dataclass(frozen=True)
 class WallCrossing:
-    """A hexagon-side wall together with the cylinder chamber behind it."""
+    """A hexagon-side wall together with the cylinder chamber behind it.
+
+    `hexagon_boundary_surface` returns it, so it stays with that function.
+    """
 
     wall: ParallelogramWall
     neighbor: LatticeElement
@@ -633,6 +497,9 @@ def hexagon_boundary_surface(chi: PeriodCharacter, triple: CharacteristicTriple,
     parameter ``s`` in (0, 1) corresponds to the cylinder boundary point
     ``z = u_{i+1} + s u_i``.  The endpoints ``s = 0, 1`` are zero
     collisions in H(2,-2).
+
+    Only tests call it; it stays because the triangle-side wall check of
+    negative atlases is to be built from the affine form it evaluates.
 
     Raises
     ------

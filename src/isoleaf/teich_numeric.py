@@ -826,6 +826,8 @@ def _wall_crossings(za: complex, zb: complex, p1: complex, p2: complex) -> bool:
                 hi_m = min(hi_m, bound)
             else:
                 lo_m = max(lo_m, bound)
+        if math.isinf(lo_m) or math.isinf(hi_m):  # slopes under the cut leave the row open
+            raise NoConvergence("the wall path is too long for double precision")
         m_first = math.ceil(lo_m - 1e-12)
         m_last = math.floor(hi_m + 1e-12)
         if any(m or n for m in range(m_first, m_last + 1)):

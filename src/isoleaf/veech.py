@@ -41,7 +41,6 @@ from math import gcd, isqrt, lcm
 from isoleaf import stats
 from isoleaf.period_algebra import (
     FieldElement,
-    GroundField,
     IsoleafError,
     LeafKind,
     PeriodCharacter,
@@ -66,7 +65,6 @@ __all__ = [
     "module_matrix",
     "unit_power",
     "unit_norm",
-    "gamma_element",
     "veech_group",
     "group_contains",
 ]
@@ -172,13 +170,6 @@ def _power(D: int, u: tuple, k: int, mod: int | None = None) -> tuple:
         if k:  # the square past the top bit would be the largest and unused
             base = _ring_mul(D, base, base, mod)
     return out
-
-
-def gamma_element(F: GroundField) -> FieldElement:
-    """The ring generator gamma as an element of the quadratic field."""
-    if F.D % 4 == 1:
-        return F.element(Fraction(1, 2), Fraction(1, 2))
-    return F.symbol()
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from isoleaf.leaf_atlas import (
     CylArithChamber,
     CylChamber,
     DegChamber,
-    arithmetic_reachability,
-    adjacency_graph,
     build_arithmetic,
     build_negative,
     build_nonarith,
@@ -35,9 +33,7 @@ from isoleaf.surface_kernel import (
     HexagonSurface,
     InvalidSurface,
     TorusSurface,
-    hexagon_from_rotation,
     to_exact_complex,
-    volume_constraint_check,
 )
 from isoleaf.teich_numeric import (
     WeierstrassData,
@@ -54,6 +50,13 @@ from isoleaf.veech import (
     QuadraticV,
     TriangularV,
     veech_group,
+)
+from paper_model import (
+    adjacency_graph,
+    arithmetic_reachability,
+    black_triangle_area,
+    hexagon_from_rotation,
+    volume_constraint_check,
 )
 
 QI = GroundField.gaussian()
@@ -275,7 +278,7 @@ def test_criterion_06_hexagon_area_and_torus_rejection():
         if x + y >= 1:
             continue
         surf = hexagon_from_rotation(CHI_NEG, REF_ROT, gz(x, y))
-        area = surf.black_triangle_area()
+        area = black_triangle_area(surf)
         if area != target:
             failures.append(f"hexagon at z=({x},{y}) has area {area}, expected {target}")
         built += 1

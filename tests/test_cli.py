@@ -199,6 +199,12 @@ class TestTypedErrors:
             # the reduced modulus is 8.4e6 i, past the double-precision series
             ["teich", "invert", *SQUARE_LEAF, "--z", "0.3,0.2", "--guess", "0,1.2e-7"],
             ["atlas", "build", "--kind", "positive", "--bound", "2", "--out", "no/such/dir.json"],
+            # wall paths too long for double precision: every slope of the slit
+            # scan falls under its cut, so no row of the scan has a finite bound
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "1e16"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "1e20"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "1e300"],
+            ["teich", "trace", *SQUARE_LEAF, "--u", "1,0", "--t", "4", "--horizon", "1e30"],
         ],
     )
     def test_library_value_errors_exit_1(self, capsys, argv):

@@ -19,12 +19,9 @@ from isoleaf.leaf_atlas import (
     Gluing,
     NonIntegralStar,
     NotAVertex,
-    NotInterior,
     NonQuadraticTheta,
     RationalTheta,
     TorusChamber,
-    adjacency_graph,
-    arithmetic_reachability,
     atlas_from_json_dict,
     atlas_to_json_dict,
     build_arithmetic,
@@ -33,11 +30,9 @@ from isoleaf.leaf_atlas import (
     build_positive,
     check_atlas,
     connectivity_check,
-    glue_target,
     primitive_elements,
     singularity_star,
     total_half_turns,
-    wall_surface_match,
     wall_tree,
 )
 from isoleaf import leaf_atlas
@@ -52,7 +47,16 @@ from isoleaf.period_algebra import (
     pm_representative,
     symplectic_partner,
 )
-from isoleaf.surface_kernel import SlitDegenerateSurface, cylinder_boundary_surface
+from isoleaf.surface_kernel import SlitDegenerateSurface
+from paper_model import (
+    NotInterior,
+    _cross,
+    adjacency_graph,
+    arithmetic_reachability,
+    cylinder_boundary_surface,
+    glue_target,
+    wall_surface_match,
+)
 
 
 def lat(m, n):
@@ -811,7 +815,7 @@ def test_walk_through_open_germ_keeps_step_limit(max_steps):
     for g in gluings:
         germ = (g.seg_a.chamber, g.seg_a.part, g.seg_a.lo, +1)
         try:
-            nxt = leaf_atlas._cross(atlas, leaf_atlas._other_germ(atlas, germ, {})[0])
+            nxt = _cross(atlas, leaf_atlas._other_germ(atlas, germ, {})[0])
         except _Unglued:
             continue
         open_ = {}

@@ -33,9 +33,9 @@ from isoleaf.surface_kernel import (
     InvalidSurface,
     SlitDegenerateSurface,
     TorusSurface,
-    hexagon_from_rotation,
     to_exact_complex,
 )
+from paper_model import hexagon_from_rotation
 
 QI = GroundField.gaussian()
 CHI_POS = PeriodCharacter.gaussian((1, 0), (0, 1))

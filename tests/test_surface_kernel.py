@@ -16,25 +16,30 @@ from isoleaf.period_algebra import (
 )
 from isoleaf.surface_kernel import (
     BadSideIndex,
-    CoreType,
     CylinderSurface,
     ExactComplex,
     HexagonSurface,
     InvalidSurface,
     NotOnBoundary,
     ParallelogramWall,
-    PinchedTorus,
     PointInH2m2,
     SlitDegenerateSurface,
     TorusSurface,
     WallCrossing,
-    core_type,
     _im_conj_mult,
-    cylinder_boundary_surface,
     cylinder_member_min,
     hexagon_boundary_surface,
-    hexagon_from_rotation,
     to_exact_complex,
+)
+from paper_model import (
+    CoreType,
+    PinchedTorus,
+    black_triangle_area,
+    core_type,
+    cylinder_boundary_surface,
+    edge_identifications,
+    hexagon_from_rotation,
+    surface_corner_angles,
     volume_constraint_check,
 )
 
@@ -259,12 +264,12 @@ class TestHexagonSurface:
     @given(valid_hexagon_points())
     def test_black_triangle_area_exact(self, xy):
         surf = hexagon_from_rotation(CHI_NEG, REF_ROT, gz(*xy))
-        assert surf.black_triangle_area() == -CHI_NEG.volume() / 2
+        assert black_triangle_area(surf) == -CHI_NEG.volume() / 2
 
     @given(valid_hexagon_points())
     def test_corner_angle_accounting(self, xy):
         surf = hexagon_from_rotation(CHI_NEG, REF_ROT, gz(*xy))
-        angles = surf.surface_corner_angles()
+        angles = surface_corner_angles(surf)
         for a in angles.values():
             assert pi - 1e-9 <= a <= 2 * pi + 1e-9
         b_sum = sum(angles[k] for k in ("B1", "B2", "B3"))
@@ -284,12 +289,12 @@ class TestHexagonSurface:
                 surf = HexagonSurface(CHI_NEG, triple, z)
             except InvalidSurface:
                 continue
-            assert surf.black_triangle_area() == Fraction(1, 2)
+            assert black_triangle_area(surf) == Fraction(1, 2)
 
     def test_edge_identifications_close_up(self):
         surf = hexagon_from_rotation(CHI_NEG, REF_ROT, gz(Fraction(1, 5), Fraction(1, 5)))
         c = surf.corners()
-        for (edge_a, edge_b), shift in surf.edge_identifications():
+        for (edge_a, edge_b), shift in edge_identifications(surf):
             # the identification translates the first edge onto the second
             pa, pb = c[edge_a[:2]], c[edge_a[2:]]
             qa, qb = c[edge_b[:2]], c[edge_b[2:]]

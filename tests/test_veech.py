@@ -13,7 +13,6 @@ from isoleaf.period_algebra import (
     GroundField,
     IsoleafError,
     PeriodCharacter,
-    change_basis,
     mat2_mul,
     normalize,
 )
@@ -24,7 +23,6 @@ from isoleaf.veech import (
     QuadraticV,
     TriangularV,
     fundamental_unit,
-    gamma_element,
     group_contains,
     module_matrix,
     module_triple,
@@ -35,6 +33,7 @@ from isoleaf.veech import (
     veech_group,
 )
 from isoleaf.veech import _power, _ring_mul
+from paper_model import change_basis, gamma_element
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 29, 61, 94]
 

@@ -28,16 +28,14 @@ from isoleaf.leaf_atlas import (
     build_nonarith,
     build_positive,
     check_atlas,
-    wall_surface_match,
 )
 from isoleaf.period_algebra import GroundField
 from isoleaf.surface_kernel import (
-    PinchedTorus,
     PointInH2m2,
     SlitDegenerateSurface,
     cylinder_boundary_form,
-    cylinder_boundary_surface,
 )
+from paper_model import PinchedTorus, cylinder_boundary_surface, wall_surface_match
 
 Q = GroundField.rational()
 FORMS_DIFFER = "the slit-length forms of the two sides differ"
